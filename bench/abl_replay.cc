@@ -22,11 +22,15 @@
  * compared — the speedup is only reported over demonstrably
  * equivalent drivers ("equivalent" in the JSON).
  *
- * The parallel sweep (--par-threads, default 1,2,4,8) replays the
- * same trace through ReplayPlan::parallel(N) — the v2 chunk-index
- * fan-out — and reports events/s and per-worker events/s for each
- * worker count, with an embedded sequential-vs-parallel equivalence
- * check (alarms + DetectorStats bit-identical) gating the numbers.
+ * The parallel sweep (--par-threads, default 1,2,4,8; the 1-worker
+ * point is always run, as the baseline) replays the same trace
+ * through ReplayPlan::parallel(N) — the v2 chunk-index fan-out — and
+ * reports, for each worker count, events/s as the mean over trials,
+ * per-worker events/s, and the scaling events/s(N) ÷ events/s(1).
+ * The geomean of that scaling over workloads is reported per worker
+ * count, so a fan-out that costs more than it gains reads below
+ * 1.00x. An embedded sequential-vs-parallel equivalence check
+ * (alarms + DetectorStats bit-identical) gates the numbers.
  *
  * Emits machine-readable JSON (events/sec per workload per driver +
  * replay speedups + the parallel sweep), default BENCH_replay.json.
@@ -97,7 +101,8 @@ runLive(const CompiledProgram &prog,
 struct ParPoint
 {
     unsigned workers = 1;
-    double eps = 0; ///< replay events/s at this worker count
+    double eps = 0;     ///< mean replay events/s over the trials
+    double scaling = 0; ///< eps ÷ the 1-worker point's eps
 };
 
 struct Row
@@ -153,6 +158,10 @@ main(int argc, char **argv)
     }
     if (repeat == 0)
         repeat = 1;
+    // Scaling is relative to one worker, so that point always runs.
+    if (std::find(parSweep.begin(), parSweep.end(), 1u) ==
+        parSweep.end())
+        parSweep.insert(parSweep.begin(), 1u);
 
     setQuiet(true);
     std::printf("=== Trace replay ablation: detection events/second, "
@@ -260,8 +269,9 @@ main(int argc, char **argv)
         // Parallel sweep over the v2 chunk index. The session's own
         // events_per_sec gauge times just the replay section (load
         // excluded), the same window as the sequential loop above;
-        // every parallel run is equivalence-checked against the
-        // sequential replay before its number counts.
+        // every trial counts toward the point's mean, and every
+        // parallel run is equivalence-checked against the sequential
+        // replay before its number counts.
         for (unsigned w : parSweep) {
             ParPoint pt;
             pt.workers = w;
@@ -281,14 +291,21 @@ main(int argc, char **argv)
                     mismatch = true;
                 }
                 const obs::MetricsRegistry &m = par.metrics();
-                pt.eps = std::max(
-                    pt.eps,
-                    double(m.value(m.find(
-                        obs::names::kReplayEventsPerSec))));
+                pt.eps += double(m.value(m.find(
+                              obs::names::kReplayEventsPerSec))) /
+                    trials;
             }
             row.par.push_back(pt);
-            std::printf("  par %2uw %36.0f e/s %13.0f e/s/w\n", w,
-                        pt.eps, pt.eps / w);
+        }
+        double base = 0;
+        for (const ParPoint &p : row.par)
+            if (p.workers == 1)
+                base = p.eps;
+        for (ParPoint &p : row.par) {
+            p.scaling = base > 0 ? p.eps / base : 0;
+            std::printf("  par %2uw %36.0f e/s %13.0f e/s/w %6.2fx\n",
+                        p.workers, p.eps, p.eps / p.workers,
+                        p.scaling);
         }
         std::remove(tracePath.c_str());
         rows.push_back(std::move(row));
@@ -310,27 +327,20 @@ main(int argc, char **argv)
     std::printf("%-10s %9s %14s %15s %14s %8.2fx\n", "geomean", "-",
                 "-", "-", "-", geoVsThreaded);
 
-    // Parallel scaling geomean: best sweep point vs the 1-worker
-    // point of the same sweep (same code path, same timing window).
-    double geoPar = 1.0;
-    size_t geoParRows = 0;
-    for (const Row &r : rows) {
-        double base = 0, peak = 0;
-        for (const ParPoint &p : r.par) {
-            if (p.workers == 1)
-                base = p.eps;
-            peak = std::max(peak, p.eps);
-        }
-        if (base > 0 && peak > 0) {
-            geoPar *= peak / base;
-            geoParRows++;
-        }
+    // Parallel scaling per worker count: the geomean over workloads
+    // of events/s(N) ÷ events/s(1), each the mean over trials.
+    std::vector<double> geoPar(parSweep.size(), 1.0);
+    for (size_t j = 0; j < parSweep.size(); j++) {
+        size_t n = 0;
+        for (const Row &r : rows)
+            if (r.par[j].scaling > 0) {
+                geoPar[j] *= r.par[j].scaling;
+                n++;
+            }
+        geoPar[j] = n ? std::pow(geoPar[j], 1.0 / n) : 0;
+        std::printf("%-10s parallel scaling geomean %2uw %8.2fx\n",
+                    "geomean", parSweep[j], geoPar[j]);
     }
-    if (geoParRows)
-        geoPar = std::pow(geoPar, 1.0 / geoParRows);
-    if (!rows.empty() && !rows.front().par.empty())
-        std::printf("%-10s parallel scaling geomean %8.2fx\n",
-                    "geomean", geoPar);
 
     FILE *js = std::fopen(jsonPath.c_str(), "w");
     if (!js) {
@@ -355,18 +365,24 @@ main(int argc, char **argv)
         for (size_t j = 0; j < r.par.size(); j++)
             std::fprintf(js,
                          "{\"workers\": %u, \"eps\": %.0f, "
-                         "\"eps_per_worker\": %.0f}%s",
+                         "\"eps_per_worker\": %.0f, "
+                         "\"scaling\": %.3f}%s",
                          r.par[j].workers, r.par[j].eps,
                          r.par[j].eps / r.par[j].workers,
+                         r.par[j].scaling,
                          j + 1 < r.par.size() ? ", " : "");
         std::fprintf(js, "]}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(js,
                  "  ],\n  \"geomean_speedup_vs_switch\": %.3f,\n"
                  "  \"geomean_speedup\": %.3f,\n"
-                 "  \"geomean_parallel_scaling\": %.3f,\n"
-                 "  \"equivalent\": %s\n}\n",
-                 geoVsSwitch, geoVsThreaded, geoPar,
+                 "  \"geomean_parallel_scaling\": [",
+                 geoVsSwitch, geoVsThreaded);
+    for (size_t j = 0; j < parSweep.size(); j++)
+        std::fprintf(js, "{\"workers\": %u, \"scaling\": %.3f}%s",
+                     parSweep[j], geoPar[j],
+                     j + 1 < parSweep.size() ? ", " : "");
+    std::fprintf(js, "],\n  \"equivalent\": %s\n}\n",
                  mismatch ? "false" : "true");
     bool writeFailed = std::ferror(js) != 0;
     writeFailed |= std::fclose(js) != 0;

@@ -4,20 +4,25 @@
  * multi-tenant server (src/serve/) fed by concurrent clients.
  *
  * Each workload records a multi-session trace once through a
- * CapturePlan, replays it offline for the baseline verdict, then —
- * per trial — stands up an in-process serve::Server and streams the
+ * CapturePlan, replays it offline for the baseline verdict, then
+ * stands up one in-process serve::Server and, per trial, streams the
  * same bytes from N concurrent client threads (one tenant each).
- * The timed window covers connect → stream → Result frame for every
- * client, i.e. the full transport + ingest-detection path. Before
- * anything is reported, every client's alarm digest is checked
- * against the offline replay ("equivalent" in the JSON): throughput
- * is only claimed over streams whose verdicts are bit-identical to
- * Session::ReplayPlan of the same trace.
+ * The timed window runs from the first trial's connects to the last
+ * trial's Result frames, i.e. the full transport + ingest-detection
+ * path of every trial back to back. Before anything is reported,
+ * every client's alarm digest is checked against the offline replay
+ * ("equivalent" in the JSON): throughput is only claimed over
+ * streams whose verdicts are bit-identical to Session::ReplayPlan of
+ * the same trace.
  *
  * Reported per workload:
- *   ingest_eps      detection events/second across all streams
- *   p50/p99_ingest  per-frame ingest latency (enqueue -> detected),
- *                   microseconds, from the server's own histogram
+ *   ingest_eps      detection events/second across all streams of
+ *                   all trials, over the whole window
+ *   p50/p99_ingest  per-segment ingest latency (enqueue -> detected),
+ *                   microseconds, from the server's own
+ *                   ipds.serve.ingest_latency_us_hist: each is
+ *                   the upper bound (2^b - 1) of the power-of-two
+ *                   bucket holding that quantile, not a sample
  *
  * With --tcp the transport is a loopback TCP listener (ephemeral
  * port) and the clients use the versioned hello; each workload then
@@ -77,17 +82,6 @@ readBytes(const std::string &path)
     return out;
 }
 
-uint64_t
-percentile(std::vector<uint64_t> &samples, double p)
-{
-    if (samples.empty())
-        return 0;
-    std::sort(samples.begin(), samples.end());
-    size_t idx = static_cast<size_t>(
-        p * static_cast<double>(samples.size() - 1) + 0.5);
-    return samples[std::min(idx, samples.size() - 1)];
-}
-
 struct Row
 {
     std::string name;
@@ -117,7 +111,8 @@ main(int argc, char **argv)
                  "recorded sessions per workload trace");
     args.uintOpt("clients", &clients,
                  "concurrent client streams per trial");
-    args.uintOpt("trials", &trials, "trials; fastest wins");
+    args.uintOpt("trials", &trials,
+                 "back-to-back trials in one timed window");
     args.boolOpt("quick", &quick,
                  "smoke footprint (4 sessions, 1 trial)");
     args.boolOpt("tcp", &tcp,
@@ -141,7 +136,8 @@ main(int argc, char **argv)
     std::printf("=== Service ablation: concurrent ingest-time "
                 "detection vs offline replay ===\n");
     std::printf("(%u-session trace per workload, %u concurrent "
-                "streams, best of %u trials, %s transport)\n\n",
+                "streams, %u trials in one window, %s "
+                "transport)\n\n",
                 sessions, clients, trials,
                 tcp ? "loopback TCP" : "unix-socket");
     if (tcp)
@@ -158,7 +154,10 @@ main(int argc, char **argv)
     for (const auto &wl : allWorkloads()) {
         CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
 
-        std::string tracePath = "abl_service_" + wl.name + ".trc";
+        // Per transport: the unix and --tcp runs may share a
+        // directory and run at once.
+        std::string tracePath = std::string("abl_service_") +
+                                (tcp ? "tcp_" : "") + wl.name + ".trc";
         Session live = Session::builder()
                            .program(prog)
                            .inputs(wl.benignInputs)
@@ -178,24 +177,22 @@ main(int argc, char **argv)
 
         const uint64_t modHash = replay::moduleContentHash(prog.mod);
         std::string sock = "abl_service_" + wl.name + ".sock";
-        double best = 1e100;
-        std::vector<uint64_t> latencies;
-        for (uint32_t trial = 0; trial < trials; trial++) {
-            serve::ServerConfig cfg;
-            if (tcp) {
-                cfg.tcpHost = "127.0.0.1";
-                cfg.tcpPort = 0; // ephemeral
-            } else {
-                cfg.socketPath = sock;
-            }
-            cfg.threads = threads;
-            serve::Server srv(prog, cfg);
-            srv.start();
-            const uint16_t port = tcp ? srv.boundTcpPort() : 0;
+        serve::ServerConfig cfg;
+        if (tcp) {
+            cfg.tcpHost = "127.0.0.1";
+            cfg.tcpPort = 0; // ephemeral
+        } else {
+            cfg.socketPath = sock;
+        }
+        cfg.threads = threads;
+        serve::Server srv(prog, cfg);
+        srv.start();
+        const uint16_t port = tcp ? srv.boundTcpPort() : 0;
 
-            auto t0 = std::chrono::steady_clock::now();
+        auto t0 = std::chrono::steady_clock::now();
+        std::vector<uint8_t> bad(clients, 0);
+        for (uint32_t trial = 0; trial < trials; trial++) {
             std::vector<std::thread> ts;
-            std::vector<uint8_t> bad(clients, 0);
             for (uint32_t i = 0; i < clients; i++) {
                 ts.emplace_back([&, i] {
                     try {
@@ -220,42 +217,36 @@ main(int argc, char **argv)
             }
             for (auto &t : ts)
                 t.join();
-            best = std::min(best, seconds(t0));
-
-            srv.waitForStreams(clients);
-            srv.stopAndJoin();
-            for (uint8_t b : bad)
-                if (b)
-                    mismatch = true;
-            if (srv.streamsFailed() != 0)
-                mismatch = true;
-            std::vector<uint64_t> ls =
-                srv.ingestLatencySamplesMicros();
-            latencies.insert(latencies.end(), ls.begin(), ls.end());
         }
+        const double window = seconds(t0);
+
+        srv.waitForStreams(uint64_t(clients) * trials);
+        srv.stopAndJoin();
+        for (uint8_t b : bad)
+            if (b)
+                mismatch = true;
+        if (srv.streamsFailed() != 0)
+            mismatch = true;
 
         Row row;
         row.name = wl.name;
         row.events = events;
-        row.eps = best > 0
-                      ? double(events) * double(clients) / best
-                      : 0;
-        row.p50us = percentile(latencies, 0.50);
-        row.p99us = percentile(latencies, 0.99);
+        row.eps = window > 0 ? double(events) * double(clients) *
+                                   double(trials) / window
+                             : 0;
+        row.p50us = srv.ingestLatencyQuantileMicros(0.50);
+        row.p99us = srv.ingestLatencyQuantileMicros(0.99);
 
         if (tcp) {
             // Reconnect storm: the same trace through one stream
             // killed between every slice — the cost of resume
             // (redial, re-feed, server-side dedup) under fire.
-            serve::ServerConfig cfg;
-            cfg.tcpHost = "127.0.0.1";
-            cfg.threads = threads;
-            serve::Server srv(prog, cfg);
-            srv.start();
-            auto t0 = std::chrono::steady_clock::now();
+            serve::Server storm(prog, cfg);
+            storm.start();
+            t0 = std::chrono::steady_clock::now();
             try {
                 serve::Client c;
-                c.connectTcp("127.0.0.1", srv.boundTcpPort());
+                c.connectTcp("127.0.0.1", storm.boundTcpPort());
                 c.helloV2("storm", modHash);
                 const size_t slice = trace.size() / 16 + 1;
                 for (size_t off = 0; off < trace.size();
@@ -274,8 +265,8 @@ main(int argc, char **argv)
                 mismatch = true;
             }
             double elapsed = seconds(t0);
-            srv.stopAndJoin();
-            if (srv.streamsFailed() != 0)
+            storm.stopAndJoin();
+            if (storm.streamsFailed() != 0)
                 mismatch = true;
             row.stormEps =
                 elapsed > 0 ? double(events) / elapsed : 0;

@@ -9,20 +9,31 @@ namespace replay {
 
 namespace {
 
-std::array<uint32_t, 256>
-makeCrcTable()
+/**
+ * Slice-by-8 tables for the reflected IEEE polynomial 0xEDB88320:
+ * t[0] is the classic bytewise table, and t[k][b] is the CRC of byte
+ * b followed by k zero bytes, so eight table lookups fold one 8-byte
+ * word into the running CRC.
+ */
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<uint32_t, 256> t{};
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-        t[i] = c;
+        t[0][i] = c;
     }
+    for (size_t k = 1; k < 8; ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
     return t;
 }
 
-const std::array<uint32_t, 256> kCrcTable = makeCrcTable();
+constexpr CrcTables kCrc = makeCrcTables();
 
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
@@ -57,8 +68,16 @@ uint32_t
 crc32(const uint8_t *p, size_t n)
 {
     uint32_t c = 0xffffffffu;
-    for (size_t i = 0; i < n; ++i)
-        c = kCrcTable[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        uint32_t lo = getU32(p) ^ c;
+        uint32_t hi = getU32(p + 4);
+        c = kCrc[7][lo & 0xff] ^ kCrc[6][(lo >> 8) & 0xff] ^
+            kCrc[5][(lo >> 16) & 0xff] ^ kCrc[4][lo >> 24] ^
+            kCrc[3][hi & 0xff] ^ kCrc[2][(hi >> 8) & 0xff] ^
+            kCrc[1][(hi >> 16) & 0xff] ^ kCrc[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = kCrc[0][(c ^ *p) & 0xff] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 

@@ -191,7 +191,9 @@ void appendIndexFooter(std::vector<uint8_t> &out,
 
 // ---- primitive encoding -------------------------------------------------
 
-/** CRC-32 (IEEE 802.3, reflected 0xEDB88320) of @p n bytes. */
+/** CRC-32 (IEEE 802.3, reflected 0xEDB88320) of @p n bytes, folded
+ *  eight bytes per step (slice-by-8); one implementation serves the
+ *  trace header and chunks, the index footer and the wire frames. */
 uint32_t crc32(const uint8_t *p, size_t n);
 
 inline uint64_t

@@ -471,19 +471,15 @@ TraceFile::validate(const std::string &path)
     }
 }
 
-Tag
-TraceReader::tag()
+void
+TraceReader::badTag(uint8_t t) const
 {
-    uint8_t t = byte();
-    if (t < static_cast<uint8_t>(Tag::FuncEnter) ||
-        t > static_cast<uint8_t>(Tag::Snapshot))
-        fatal("trace: unknown record tag %u (at payload byte %zu)", t,
-              off - 1);
-    return static_cast<Tag>(t);
+    fatal("trace: unknown record tag %u (at payload byte %zu)", t,
+          off - 1);
 }
 
 uint64_t
-TraceReader::var()
+TraceReader::varLong()
 {
     uint64_t v = 0;
     uint32_t shift = 0;
@@ -498,14 +494,6 @@ TraceReader::var()
             return v;
         shift += 7;
     }
-}
-
-uint8_t
-TraceReader::byte()
-{
-    if (off == n_)
-        truncated();
-    return p_[off++];
 }
 
 const uint8_t *

@@ -194,14 +194,32 @@ class TraceReader
     size_t offset() const { return off; }
 
     /** Next record tag. FatalError on an unknown tag byte. */
-    Tag tag();
+    Tag tag()
+    {
+        uint8_t t = byte();
+        if (t < static_cast<uint8_t>(Tag::FuncEnter) ||
+            t > static_cast<uint8_t>(Tag::Snapshot))
+            badTag(t);
+        return static_cast<Tag>(t);
+    }
 
-    /** LEB128 varint. FatalError past the payload end. */
-    uint64_t var();
+    /** LEB128 varint. FatalError past the payload end. One-byte
+     *  values (most pc steps and function ids) decode inline. */
+    uint64_t var()
+    {
+        if (off < n_ && p_[off] < 0x80)
+            return p_[off++];
+        return varLong();
+    }
     int64_t svar() { return zigzagDecode(var()); }
 
     /** One raw byte. */
-    uint8_t byte();
+    uint8_t byte()
+    {
+        if (off == n_)
+            truncated();
+        return p_[off++];
+    }
 
     /** Borrow @p n raw bytes (snapshot blobs). FatalError if short. */
     const uint8_t *bytes(size_t n);
@@ -210,6 +228,9 @@ class TraceReader
     void skip(size_t n);
 
   private:
+    /** Multi-byte varints and the truncated/overflow errors. */
+    uint64_t varLong();
+    [[noreturn]] void badTag(uint8_t t) const;
     [[noreturn]] void truncated() const;
 
     const uint8_t *p_;

@@ -41,31 +41,23 @@ ReplayEngine::buildPcIndex()
     pcIndex.assign((hi - lo) / 4 + 1, {});
     for (const Function &fn : mod.functions)
         for (const BasicBlock &bb : fn.blocks)
-            for (const Inst &in : bb.insts)
-                pcIndex[(in.pc - basePc) / 4] = {&in, fn.id};
+            for (const Inst &in : bb.insts) {
+                PcKind kind = PcKind::Plain;
+                if (in.op == Op::Br)
+                    kind = PcKind::Branch;
+                else if (in.op == Op::Load || in.op == Op::LoadInd ||
+                         in.op == Op::Store || in.op == Op::StoreInd)
+                    kind = PcKind::Memory;
+                pcIndex[(in.pc - basePc) / 4] = {&in, fn.id, kind};
+            }
 }
 
-const ReplayEngine::PcEntry &
-ReplayEngine::at(uint64_t pc) const
+void
+ReplayEngine::badPc(uint64_t pc)
 {
-    uint64_t off = pc - basePc;
-    if (pc < basePc || (off & 3) != 0 || off / 4 >= pcIndex.size() ||
-        pcIndex[off / 4].inst == nullptr)
-        fatal("trace: record references pc 0x%llx outside the module",
-              static_cast<unsigned long long>(pc));
-    return pcIndex[off / 4];
+    fatal("trace: record references pc 0x%llx outside the module",
+          static_cast<unsigned long long>(pc));
 }
-
-namespace {
-
-bool
-isMemOp(Op op)
-{
-    return op == Op::Load || op == Op::LoadInd || op == Op::Store ||
-        op == Op::StoreInd;
-}
-
-} // namespace
 
 ReplayEngine::ShardCursor::ShardCursor(const ReplayEngine &e,
                                        uint32_t shard)
@@ -261,7 +253,7 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
                 prevPc + static_cast<uint64_t>(r.svar()) * 4;
             requireOpen();
             const PcEntry &e = eng.at(pc);
-            if (e.inst->op != Op::Br)
+            if (e.kind != PcKind::Branch)
                 fatal("trace: branch record at non-branch pc");
             if (funcStack.empty() || funcStack.back() != e.func)
                 fatal("trace: branch outside its function's "
@@ -282,7 +274,7 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
                 prevPc + static_cast<uint64_t>(r.svar()) * 4;
             requireOpen();
             const PcEntry &e = eng.at(pc);
-            if (e.inst->op == Op::Br || isMemOp(e.inst->op))
+            if (e.kind != PcKind::Plain)
                 fatal("trace: plain record for a branch/memory "
                       "instruction");
             if (cpu)
@@ -297,7 +289,7 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
             for (uint64_t i = 0; i < n; i++) {
                 uint64_t pc = prevPc + 4;
                 const PcEntry &e = eng.at(pc);
-                if (e.inst->op == Op::Br || isMemOp(e.inst->op))
+                if (e.kind != PcKind::Plain)
                     fatal("trace: plain record for a "
                           "branch/memory instruction");
                 if (cpu)
@@ -314,7 +306,7 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
                 prevAddr + static_cast<uint64_t>(r.svar());
             requireOpen();
             const PcEntry &e = eng.at(pc);
-            if (!isMemOp(e.inst->op))
+            if (e.kind != PcKind::Memory)
                 fatal("trace: data-access record at a "
                       "non-memory instruction");
             if (cpu)

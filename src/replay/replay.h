@@ -37,6 +37,7 @@
  * detector's internal panics.
  */
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -189,14 +190,34 @@ class ReplayEngine
     };
 
   private:
+    /** Which record kind may name a pc (set once per instruction). */
+    enum class PcKind : uint8_t
+    {
+        None,   ///< no instruction here
+        Plain,  ///< Inst / InstRun
+        Branch, ///< BranchTaken / BranchNotTaken
+        Memory, ///< MemInst
+    };
+
     struct PcEntry
     {
         const Inst *inst = nullptr;
         FuncId func = kNoFunc;
+        PcKind kind = PcKind::None;
     };
 
     /** Decoded instruction at @p pc; FatalError if out of range. */
-    const PcEntry &at(uint64_t pc) const;
+    const PcEntry &at(uint64_t pc) const
+    {
+        // Rotating the byte offset right by 2 maps a misaligned pc
+        // (and, by wrap-around, one below basePc) past every index.
+        uint64_t i = std::rotr(pc - basePc, 2);
+        if (i >= pcIndex.size() || pcIndex[i].kind == PcKind::None)
+            badPc(pc);
+        return pcIndex[i];
+    }
+
+    [[noreturn]] static void badPc(uint64_t pc);
 
     void buildPcIndex();
 

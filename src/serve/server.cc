@@ -208,8 +208,6 @@ struct Server::Impl
     uint64_t failedStreams = 0;
     std::map<std::string, TenantState> tenants;
     obs::MetricsRegistry reg;
-    std::vector<uint64_t> latencySamples; ///< ring of the newest cap
-    size_t latencyNext = 0; ///< overwrite slot once the ring is full
     obs::MetricHandle hAccepted, hCompleted, hFailed, hFrames,
         hBytes, hFrameCrc, hOversized, hBadFrames, hStalls, hResumes,
         hReconnects, hResumedChunks, hUnknownModule, hAcceptErrors,
@@ -217,8 +215,8 @@ struct Server::Impl
 
     // Declared LAST: ~Impl destroys members in reverse order, and
     // ~ThreadPool drains in-flight stream actors that still lock mtx
-    // and touch tenants/reg/latencySamples — the pool must go first,
-    // while all of that shared state is still alive.
+    // and touch tenants and reg — the pool must go first, while all
+    // of that shared state is still alive.
     ThreadPool pool;
 
     explicit Impl(ServerConfig c)
@@ -341,19 +339,6 @@ struct Server::Impl
                         .count());
                 std::lock_guard<std::mutex> lk(mtx);
                 reg.observe(hLatency, us);
-                // Bounded ring: an open-ended daemon must not grow
-                // memory per frame served. The histogram above keeps
-                // the full-run aggregate.
-                if (cfg.latencySampleCap > 0) {
-                    if (latencySamples.size() <
-                        cfg.latencySampleCap) {
-                        latencySamples.push_back(us);
-                    } else {
-                        latencySamples[latencyNext] = us;
-                        latencyNext = (latencyNext + 1) %
-                                      cfg.latencySampleCap;
-                    }
-                }
             }
         }
     }
@@ -1630,23 +1615,11 @@ Server::statszText() const
     return impl->statszLocked();
 }
 
-std::vector<uint64_t>
-Server::ingestLatencySamplesMicros() const
+uint64_t
+Server::ingestLatencyQuantileMicros(double q) const
 {
     std::lock_guard<std::mutex> lk(impl->mtx);
-    const std::vector<uint64_t> &ring = impl->latencySamples;
-    std::vector<uint64_t> out;
-    out.reserve(ring.size());
-    // Rotate so the oldest retained sample comes first (latencyNext
-    // is 0 until the ring wraps, so this is a plain copy then).
-    out.insert(out.end(),
-               ring.begin() +
-                   static_cast<ptrdiff_t>(impl->latencyNext),
-               ring.end());
-    out.insert(out.end(), ring.begin(),
-               ring.begin() +
-                   static_cast<ptrdiff_t>(impl->latencyNext));
-    return out;
+    return impl->reg.histQuantile(impl->hLatency, q);
 }
 
 } // namespace serve

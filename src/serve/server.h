@@ -103,14 +103,6 @@ struct ServerConfig
      * ipds.serve.dropped_reply_bytes).
      */
     unsigned shutdownDrainRounds = 100;
-    /**
-     * Newest per-segment latency samples retained for
-     * ingestLatencySamplesMicros() (ring buffer; 0 disables). Keeps
-     * an open-ended daemon's memory bounded — the
-     * ipds.serve.ingest_latency_us histogram still aggregates every
-     * segment.
-     */
-    size_t latencySampleCap = 1u << 16;
 };
 
 /** One tenant's aggregate, merged over its completed streams. */
@@ -183,11 +175,13 @@ class Server
     std::string statszText() const;
 
     /**
-     * Per-segment ingest latencies (enqueue to decoded) in
-     * microseconds — the newest ServerConfig::latencySampleCap
-     * samples, oldest first. For the bench harness.
+     * Quantile @p q of the per-segment ingest latency (enqueue to
+     * decoded) in microseconds, over every segment since start(): the
+     * upper bound of the power-of-two bucket of the
+     * ipds.serve.ingest_latency_us_hist histogram that holds it
+     * (obs::MetricsRegistry::histQuantile).
      */
-    std::vector<uint64_t> ingestLatencySamplesMicros() const;
+    uint64_t ingestLatencyQuantileMicros(double q) const;
 
   private:
     struct Impl;

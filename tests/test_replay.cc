@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,6 +36,7 @@
 #include "replay/snapshot.h"
 #include "replay/writer.h"
 #include "support/diag.h"
+#include "support/rng.h"
 #include "timing/config.h"
 #include "timing/cpu.h"
 #include "vm/vm.h"
@@ -154,6 +157,36 @@ TEST(ReplayFormat, Crc32MatchesReferenceVector)
     const uint8_t msg[] = {'1', '2', '3', '4', '5', '6', '7', '8',
                            '9'};
     EXPECT_EQ(replay::crc32(msg, sizeof msg), 0xCBF43926u);
+}
+
+/** Bitwise CRC-32 (no table): the oracle for the sliced loop. */
+uint32_t
+crc32Bitwise(const uint8_t *p, size_t n)
+{
+    uint32_t c = 0xffffffffu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+    }
+    return ~c;
+}
+
+TEST(ReplayFormat, Crc32MatchesBitwiseOracleAtEveryLengthAndOffset)
+{
+    // Every tail length of the 8-byte stride, from every start
+    // alignment, plus one long buffer through the sliced main loop.
+    std::vector<uint8_t> buf(64 * 1024);
+    Rng rng(0xC4C32);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng.next());
+    for (size_t start = 0; start < 8; ++start)
+        for (size_t len = 0; len <= 257; ++len)
+            ASSERT_EQ(replay::crc32(buf.data() + start, len),
+                      crc32Bitwise(buf.data() + start, len))
+                << "start " << start << " len " << len;
+    EXPECT_EQ(replay::crc32(buf.data(), buf.size()),
+              crc32Bitwise(buf.data(), buf.size()));
 }
 
 TEST(ReplayFormat, TimingConfigPackIsLossless)
@@ -542,11 +575,15 @@ TEST(ReplayBuilder, MixedPlansAreRejected)
 
 // ------------------------------------------------- corrupt traces
 
-/** One small captured trace, reused by the rejection tests. */
+/** One small captured trace, reused by the rejection tests. The
+ *  file is named after the calling test: ctest runs each test in its
+ *  own process, concurrently, so a shared name races. */
 std::vector<uint8_t>
 captureSmallTrace(const CompiledProgram &prog)
 {
-    std::string path = tmpTracePath("reject");
+    std::string path = tmpTracePath(
+        std::string("reject_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name());
     Session::builder()
         .program(prog)
         .inputs(kLoopInputs)
@@ -718,6 +755,200 @@ TEST(ReplayReject, CorruptPayloadCannotReachDetectorPanics)
     replay::ReplayEngine eng(file, prog);
     replay::ReplayShardResult out;
     EXPECT_THROW(eng.replayShard(0, out), FatalError);
+}
+
+/** Record bytes for a hand-built chunk payload (tests only). */
+struct Payload
+{
+    std::vector<uint8_t> b;
+
+    Payload &tag(replay::Tag t)
+    {
+        b.push_back(static_cast<uint8_t>(t));
+        return *this;
+    }
+    Payload &var(uint64_t v)
+    {
+        for (; v >= 0x80; v >>= 7)
+            b.push_back(static_cast<uint8_t>(v | 0x80));
+        b.push_back(static_cast<uint8_t>(v));
+        return *this;
+    }
+    Payload &svar(int64_t v) { return var(replay::zigzagEncode(v)); }
+    Payload &raw(std::initializer_list<uint8_t> bytes)
+    {
+        b.insert(b.end(), bytes);
+        return *this;
+    }
+    /** SessionStart for session 0, no ring fault. */
+    Payload &start()
+    {
+        return tag(replay::Tag::SessionStart).var(0).raw({0});
+    }
+    /** A chunk's first pc record, at absolute @p pc (the pc delta
+     *  context starts at 0 in every chunk). */
+    Payload &at(replay::Tag t, uint64_t pc)
+    {
+        return tag(t).svar(static_cast<int64_t>(pc / 4));
+    }
+};
+
+TEST(ReplayReject, EachDecodeDefectNamesItsCheck)
+{
+    // One CRC-valid chunk per check in ShardCursor::feed: the chunk is
+    // framed and parsed by parseChunk (so its CRC holds) and must fail
+    // with that check's own FatalError, before the detector sees it.
+    using replay::Tag;
+    CompiledProgram prog =
+        compileAndAnalyze(kLoopProgram, "replay_loop");
+    const Module &mod = prog.mod;
+    ASSERT_EQ(mod.functions.size(), 1u);
+    const Function &fn = mod.functions[0];
+
+    auto isMem = [](Op op) {
+        return op == Op::Load || op == Op::LoadInd ||
+            op == Op::Store || op == Op::StoreInd;
+    };
+    // The first instruction of each record kind, and a plain
+    // instruction directly before a branch / a memory access (so an
+    // InstRun of 1 steps onto it).
+    uint64_t lo = ~0ull, hi = 0, plain = 0, branch = 0, mem = 0;
+    uint64_t plainBeforeBranch = 0, plainBeforeMem = 0;
+    const Inst *prev = nullptr;
+    for (const BasicBlock &bb : fn.blocks)
+        for (const Inst &in : bb.insts) {
+            lo = std::min(lo, in.pc);
+            hi = std::max(hi, in.pc);
+            bool prevPlain = prev && prev->op != Op::Br &&
+                !isMem(prev->op) && prev->pc + 4 == in.pc;
+            if (in.op == Op::Br) {
+                if (!branch)
+                    branch = in.pc;
+                if (prevPlain && !plainBeforeBranch)
+                    plainBeforeBranch = prev->pc;
+            } else if (isMem(in.op)) {
+                if (!mem)
+                    mem = in.pc;
+                if (prevPlain && !plainBeforeMem)
+                    plainBeforeMem = prev->pc;
+            } else if (!plain) {
+                plain = in.pc;
+            }
+            prev = &in;
+        }
+    ASSERT_TRUE(plain && branch && mem && plainBeforeBranch &&
+                plainBeforeMem);
+    ASSERT_GE(lo, 4u);
+
+    struct Row
+    {
+        const char *what;
+        Payload payload;
+        uint32_t events;
+        const char *message;
+    };
+    const uint64_t nFuncs = mod.functions.size();
+    const Row rows[] = {
+        {"unknown tag", Payload().start().raw({0x7f}), 2,
+         "unknown record tag"},
+        {"varint past the payload end",
+         Payload().start().tag(Tag::FuncEnter).raw({0x80, 0x80}), 2,
+         "record truncated"},
+        {"10-byte varint overflow",
+         Payload().start().tag(Tag::FuncEnter).raw(
+             {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+              0x7f}),
+         2, "varint overflow"},
+        {"pc below the module",
+         Payload().start().at(Tag::Inst, lo - 4), 2,
+         "outside the module"},
+        {"pc past the module",
+         Payload().start().at(Tag::Inst, hi + 4), 2,
+         "outside the module"},
+        {"branch record at a plain pc",
+         Payload().start().tag(Tag::FuncEnter).var(0).at(
+             Tag::BranchTaken, plain),
+         3, "branch record at non-branch pc"},
+        {"branch record at a memory pc",
+         Payload().start().tag(Tag::FuncEnter).var(0).at(
+             Tag::BranchNotTaken, mem),
+         3, "branch record at non-branch pc"},
+        {"Inst record at a branch pc",
+         Payload().start().at(Tag::Inst, branch), 2,
+         "plain record for a branch/memory instruction"},
+        {"Inst record at a memory pc",
+         Payload().start().at(Tag::Inst, mem), 2,
+         "plain record for a branch/memory instruction"},
+        {"InstRun onto a branch pc",
+         Payload()
+             .start()
+             .at(Tag::Inst, plainBeforeBranch)
+             .tag(Tag::InstRun)
+             .var(1),
+         3, "plain record for a branch/memory instruction"},
+        {"InstRun onto a memory pc",
+         Payload()
+             .start()
+             .at(Tag::Inst, plainBeforeMem)
+             .tag(Tag::InstRun)
+             .var(1),
+         3, "plain record for a branch/memory instruction"},
+        {"MemInst record at a plain pc",
+         Payload().start().at(Tag::MemInst, plain).svar(0), 2,
+         "data-access record at a non-memory instruction"},
+        {"FuncEnter id out of range",
+         Payload().start().tag(Tag::FuncEnter).var(nFuncs), 2,
+         "out of range"},
+        {"unbalanced FuncExit",
+         Payload().start().tag(Tag::FuncExit).var(0), 2,
+         "unbalanced function exit"},
+        {"branch outside its function's activation",
+         Payload().start().at(Tag::BranchTaken, branch), 2,
+         "branch outside its function's activation"},
+        {"event record outside a session",
+         Payload().tag(Tag::FuncEnter).var(0), 1,
+         "event record outside a session"},
+        {"event count above the records",
+         Payload().start().tag(Tag::FuncEnter).var(0), 3,
+         "chunk event count mismatch"},
+        {"event count below the records",
+         Payload().start().tag(Tag::FuncEnter).var(0), 1,
+         "chunk event count mismatch"},
+    };
+
+    replay::TraceMeta meta;
+    meta.flags = replay::kFlagDetector;
+    meta.moduleHash = replay::moduleContentHash(mod);
+    meta.sessions = 1;
+    meta.shards = 1;
+    replay::ReplayEngine eng(meta, prog);
+    for (const Row &row : rows) {
+        const std::vector<uint8_t> &pl = row.payload.b;
+        std::vector<uint8_t> chunk(replay::kChunkHeaderBytes);
+        replay::putU32(chunk.data(), static_cast<uint32_t>(pl.size()));
+        replay::putU32(chunk.data() + 4, row.events);
+        replay::putU32(chunk.data() + 8, 0);
+        replay::putU32(chunk.data() + 12,
+                       replay::crc32(pl.data(), pl.size()));
+        chunk.insert(chunk.end(), pl.begin(), pl.end());
+
+        replay::ChunkRef c;
+        size_t used = 0;
+        std::string err;
+        ASSERT_EQ(replay::parseChunk(chunk.data(), chunk.size(), c,
+                                     used, &err),
+                  replay::ParseStatus::Ok)
+            << row.what << ": " << err;
+        replay::ReplayEngine::ShardCursor cur(eng, 0);
+        try {
+            cur.feed(c, chunk.data() + c.payloadOff);
+            ADD_FAILURE() << row.what << ": expected FatalError";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(row.message),
+                      std::string::npos)
+                << row.what << ": " << e.what();
+        }
+    }
 }
 
 // ------------------------------------------------- golden fixture

@@ -1,14 +1,22 @@
 /**
  * @file
  * Timing-substrate tests: cache geometry/LRU, the two-level branch
- * predictor, the IPDS engine's queue and spill mechanics, and
- * whole-model sanity (determinism, IPC bounds, IPDS-off neutrality).
+ * predictor, the IPDS engine's queue and spill mechanics,
+ * whole-model sanity (determinism, IPC bounds, IPDS-off neutrality),
+ * and a golden that pins the model's absolute output.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+#include <sstream>
+#include <string>
+
 #include "core/program.h"
+#include "gen/gen.h"
 #include "ipds/detector.h"
+#include "obs/session.h"
 #include "support/diag.h"
 #include "timing/branchpred.h"
 #include "timing/cache.h"
@@ -295,6 +303,133 @@ TEST(CpuModel, CheckLatencyIsSmallAndPositive)
     EXPECT_GE(lat, 1.0);
     // Paper: 11.7 cycles, comfortably inside a 20-stage pipeline.
     EXPECT_LT(lat, 20.0);
+}
+
+// ---------------------------------------------------------------- golden
+
+/** Every TimingStats field, EngineStats included, in pinning order. */
+constexpr const char *kTimingFields[] = {
+    "instructions", "cycles", "branches", "mispredicts", "l1iMisses",
+    "l1dMisses", "l2Misses", "tlbMisses", "ipdsStallCycles",
+    "ringMaxOccupancy", "ringDrains", "ringOverflowFlushes",
+    "ringFaultDrops", "ringFaultDups", "engine.requests",
+    "engine.checkRequests", "engine.updateRequests",
+    "engine.busyCycles", "engine.queueFullStalls",
+    "engine.stallCycles", "engine.spillEvents", "engine.spillBits",
+    "engine.fillEvents", "engine.fillBits", "engine.checkLatencySum",
+    "engine.checkLatencyCount", "engine.framesDepth",
+    "engine.depthClamps", "engine.accountingClamps",
+};
+constexpr size_t kNumTimingFields = std::size(kTimingFields);
+using TimingFields = std::array<uint64_t, kNumTimingFields>;
+
+TimingFields
+timingFields(const TimingStats &t)
+{
+    const EngineStats &e = t.engine;
+    return {t.instructions, t.cycles, t.branches, t.mispredicts,
+            t.l1iMisses, t.l1dMisses, t.l2Misses, t.tlbMisses,
+            t.ipdsStallCycles, t.ringMaxOccupancy, t.ringDrains,
+            t.ringOverflowFlushes, t.ringFaultDrops, t.ringFaultDups,
+            e.requests, e.checkRequests, e.updateRequests,
+            e.busyCycles, e.queueFullStalls, e.stallCycles,
+            e.spillEvents, e.spillBits, e.fillEvents, e.fillBits,
+            e.checkLatencySum, e.checkLatencyCount, e.framesDepth,
+            e.depthClamps, e.accountingClamps};
+}
+
+/** One pinned program: a paper workload by name, or a gen seed. */
+struct TimingGolden
+{
+    const char *workload; ///< nullptr: the generated program of seed
+    uint64_t seed;
+    TimingFields fields;
+};
+
+/**
+ * Two benign sessions of each program through one Table 1 CpuModel
+ * (Session, one shard), so state carried across sessions is pinned
+ * too. Any drift is a change to the timing model's output.
+ */
+const TimingGolden kTimingGolden[] = {
+    {"atftpd", 0,
+     {43096, 7788, 62, 29, 15, 2, 17, 2, 0, 2, 66, 0, 0, 0, 128, 62, 62, 202,
+      0, 0, 0, 0, 0, 0, 113, 62, 1, 0, 0}},
+    {"crond", 0,
+     {48432, 9077, 100, 48, 19, 3, 22, 3, 7, 2, 104, 0, 0, 0, 190, 86, 100,
+      286, 7, 7, 0, 0, 0, 0, 324, 86, 1, 0, 0}},
+    {"httpd", 0,
+     {66086, 11189, 90, 26, 18, 2, 20, 3, 0, 2, 94, 0, 0, 0, 184, 90, 90, 284,
+      0, 0, 0, 0, 0, 0, 157, 90, 1, 0, 0}},
+    {"portmap", 0,
+     {69154, 12237, 124, 58, 24, 5, 29, 3, 3, 2, 128, 0, 0, 0, 236, 108, 124,
+      370, 3, 3, 0, 0, 0, 0, 331, 108, 1, 0, 0}},
+    {"sendmail", 0,
+     {45738, 10773, 214, 54, 26, 2, 28, 3, 0, 2, 218, 0, 0, 0, 432, 214, 214,
+      698, 0, 0, 0, 0, 0, 0, 263, 214, 1, 0, 0}},
+    {"sshd", 0,
+     {33338, 6636, 40, 25, 17, 3, 20, 3, 0, 2, 44, 0, 0, 0, 84, 40, 40, 130, 0,
+      0, 0, 0, 0, 0, 42, 40, 1, 0, 0}},
+    {"sysklogd", 0,
+     {57882, 9880, 96, 42, 13, 3, 16, 3, 4, 2, 100, 0, 0, 0, 196, 96, 96, 308,
+      4, 4, 0, 0, 0, 0, 319, 96, 1, 0, 0}},
+    {"telnetd", 0,
+     {44768, 9867, 132, 32, 27, 3, 30, 3, 0, 2, 140, 0, 0, 0, 272, 132, 132,
+      420, 0, 0, 0, 0, 0, 0, 229, 132, 2, 0, 0}},
+    {"wu-ftpd", 0,
+     {41238, 9751, 124, 56, 26, 2, 28, 3, 0, 2, 128, 0, 0, 0, 248, 120, 124,
+      402, 0, 0, 0, 0, 0, 0, 127, 120, 1, 0, 0}},
+    {"xinetd", 0,
+     {54718, 10153, 122, 40, 21, 4, 25, 3, 0, 2, 150, 0, 0, 0, 272, 122, 122,
+      406, 0, 0, 0, 0, 0, 0, 280, 122, 2, 0, 0}},
+    {nullptr, 1,
+     {45898, 11244, 156, 43, 45, 8, 53, 3, 32, 2, 180, 0, 0, 0, 330, 150, 156,
+      500, 25, 32, 0, 0, 0, 0, 733, 150, 2, 0, 0}},
+    {nullptr, 2,
+     {62390, 12356, 186, 59, 32, 5, 37, 3, 27, 2, 218, 0, 0, 0, 404, 186, 186,
+      622, 21, 27, 0, 0, 0, 0, 824, 186, 2, 0, 0}},
+    {nullptr, 3,
+     {45142, 10524, 154, 48, 39, 8, 47, 3, 23, 2, 178, 0, 0, 0, 332, 154, 154,
+      510, 21, 23, 0, 0, 0, 0, 716, 154, 2, 0, 0}},
+};
+
+TEST(TimingGolden, Table1StatsPinned)
+{
+    for (const TimingGolden &g : kTimingGolden) {
+        std::string name;
+        CompiledProgram prog;
+        std::vector<std::string> inputs;
+        if (g.workload) {
+            const Workload &wl = workloadByName(g.workload);
+            name = wl.name;
+            prog = compileAndAnalyze(wl.source, wl.name);
+            inputs = wl.benignInputs;
+        } else {
+            gen::GeneratedProgram gp = gen::generate(g.seed);
+            name = "gen seed " + std::to_string(g.seed);
+            prog = gen::compileGenerated(gp);
+            inputs = gp.workload.benignInputs;
+        }
+        Session s = Session::builder()
+                        .program(prog)
+                        .inputs(inputs)
+                        .timing(table1Config())
+                        .sessions(2)
+                        .shards(1)
+                        .build();
+        TimingFields got = timingFields(s.run().timingStats());
+        for (size_t i = 0; i < kNumTimingFields; i++)
+            EXPECT_EQ(got[i], g.fields[i])
+                << name << ": " << kTimingFields[i];
+        if (got != g.fields) {
+            std::ostringstream row;
+            for (size_t i = 0; i < kNumTimingFields; i++)
+                row << (i ? ", " : "") << got[i];
+            ADD_FAILURE() << name << ": the timing model's output "
+                          << "drifted — if intentional, repin to {"
+                          << row.str() << "}";
+        }
+    }
 }
 
 } // namespace
