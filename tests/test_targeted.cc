@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/program.h"
 #include "ipds/detector.h"
 #include "vm/vm.h"
@@ -25,6 +28,16 @@ struct Attack
     uint32_t afterInput;    ///< trigger: after Nth input event
     int64_t newValue;       ///< value written (8 bytes LE)
 };
+
+// Without a printer gtest dumps the struct's raw bytes, string pointers
+// and padding included, so the ctest names of these cases changed on
+// every run under ASLR.
+void
+PrintTo(const Attack &atk, std::ostream *os)
+{
+    *os << atk.workload << ' ' << atk.variable << '=' << atk.newValue
+        << " after input " << atk.afterInput;
+}
 
 class TargetedAttackTest : public ::testing::TestWithParam<Attack>
 {};
@@ -105,6 +118,26 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
+
+TEST(ParamNames, PrintWithoutRawBytes)
+{
+    // A parameter printed as a byte dump carries process addresses into
+    // the test's name; every value-parameterized case here must have a
+    // printer so its name is the same on every run.
+    const auto &ut = *::testing::UnitTest::GetInstance();
+    for (int s = 0; s < ut.total_test_suite_count(); s++) {
+        const auto &suite = *ut.GetTestSuite(s);
+        for (int t = 0; t < suite.total_test_count(); t++) {
+            const auto &info = *suite.GetTestInfo(t);
+            if (info.value_param() == nullptr)
+                continue;
+            EXPECT_EQ(std::string(info.value_param()).find("-byte object <"),
+                      std::string::npos)
+                << suite.name() << '.' << info.name() << ": "
+                << info.value_param();
+        }
+    }
+}
 
 } // namespace
 } // namespace ipds
