@@ -62,9 +62,18 @@ switchLatencyAtDeepest(const CompiledProgram &prog, bool lazy)
     IpdsEngine eng(cfg);
     uint64_t worst = 0;
 
+    // The ring has no overflow sink, so it grows to hold the whole
+    // run; draining it afterwards feeds the engine the same requests
+    // in the same order as an inline consumer would.
+    RequestRing ring;
     Detector det(prog);
+    det.setRequestRing(&ring);
+    Vm vm(prog.mod);
+    vm.addObserver(&det);
+    vm.run();
+
     uint64_t now = 0;
-    det.setRequestSink([&](const IpdsRequest &rq) {
+    ring.drain([&](const IpdsRequest &rq) {
         eng.enqueue(rq, now++);
         if (rq.kind == IpdsRequest::Kind::PushFrame) {
             // Probe: what would a switch cost right now? Use a copy
@@ -73,10 +82,6 @@ switchLatencyAtDeepest(const CompiledProgram &prog, bool lazy)
             worst = std::max(worst, probe.contextSwitch(lazy));
         }
     });
-
-    Vm vm(prog.mod);
-    vm.addObserver(&det);
-    vm.run();
     return worst;
 }
 

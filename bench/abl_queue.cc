@@ -30,7 +30,7 @@ simulate(const CompiledProgram &prog,
         vm.setRecordTrace(false);
         Detector det(prog);
         if (cfg.ipdsEnabled) {
-            det.setRequestSink(cpu.requestSink());
+            det.setRequestRing(&cpu.requestRing());
             vm.addObserver(&det);
         }
         vm.addObserver(&cpu);

@@ -10,15 +10,15 @@
  * This is the tentpole's wire-speed claim in one number: once a
  * stream is recorded, re-detecting it costs varint decode plus the
  * detector hot path, not interpretation. Each workload records a
- * multi-session trace (repeat benign sessions) once through
- * Session::captureTo(); the live drivers then execute the same
- * session stream VM-by-VM while the replay driver decodes the whole
- * trace in one pass — the deployment shape on both sides.
- * Configurations interleave within each trial and the fastest trial
- * wins (same discipline as abl_vm).
+ * multi-session trace (repeat benign sessions) once through a
+ * CapturePlan; the live drivers then execute the same session stream
+ * VM-by-VM while the replay driver decodes the whole trace in one
+ * pass — the deployment shape on both sides. Configurations
+ * interleave within each trial, and each driver's rate is its events
+ * over its time summed across every trial (a whole-window rate).
  *
- * Before timing, the capture is replayed through Session::replayFrom()
- * and through every live engine, and alarms + DetectorStats are
+ * Before timing, the capture is replayed through a ReplayPlan and
+ * through every live engine, and alarms + DetectorStats are
  * compared — the speedup is only reported over demonstrably
  * equivalent drivers ("equivalent" in the JSON).
  *
@@ -167,7 +167,7 @@ main(int argc, char **argv)
     std::printf("=== Trace replay ablation: detection events/second, "
                 "live VM vs recorded-trace replay ===\n");
     std::printf("(benign session per workload, %u runs per trial, "
-                "best of %u trials)\n\n",
+                "total over %u trials)\n\n",
                 repeat, trials);
     std::printf("%-10s %9s %14s %15s %14s %9s\n", "benchmark",
                 "events", "switch-e/s", "threaded-e/s", "replay-e/s",
@@ -231,33 +231,34 @@ main(int argc, char **argv)
         // Timed loops, interleaved within each trial: the live
         // drivers execute the repeat sessions VM-by-VM, the replay
         // driver decodes the whole recorded stream in one pass.
-        double best[3] = {1e100, 1e100, 1e100};
+        double secs[3] = {0, 0, 0};
         for (uint32_t trial = 0; trial < trials; trial++) {
             auto t0 = std::chrono::steady_clock::now();
             for (uint32_t r = 0; r < repeat; r++)
                 runLive(prog, dec, wl.benignInputs, VmEngine::Switch,
                         false, det);
-            best[0] = std::min(best[0], seconds(t0));
+            secs[0] += seconds(t0);
 
             t0 = std::chrono::steady_clock::now();
             for (uint32_t r = 0; r < repeat; r++)
                 runLive(prog, dec, wl.benignInputs,
                         VmEngine::Threaded, true, det);
-            best[1] = std::min(best[1], seconds(t0));
+            secs[1] += seconds(t0);
 
             t0 = std::chrono::steady_clock::now();
             replay::ReplayShardResult out;
             eng.replayShard(0, out);
-            best[2] = std::min(best[2], seconds(t0));
+            secs[2] += seconds(t0);
         }
 
         Row row;
         row.name = wl.name;
         row.events = live.detectorStats().branchesSeen / repeat;
-        double total = double(live.detectorStats().branchesSeen);
-        row.epsSwitch = best[0] > 0 ? total / best[0] : 0;
-        row.epsThreaded = best[1] > 0 ? total / best[1] : 0;
-        row.epsReplay = best[2] > 0 ? total / best[2] : 0;
+        double total =
+            double(live.detectorStats().branchesSeen) * trials;
+        row.epsSwitch = secs[0] > 0 ? total / secs[0] : 0;
+        row.epsThreaded = secs[1] > 0 ? total / secs[1] : 0;
+        row.epsReplay = secs[2] > 0 ? total / secs[2] : 0;
         std::printf("%-10s %9llu %14.0f %15.0f %14.0f %8.2fx\n",
                     row.name.c_str(),
                     static_cast<unsigned long long>(row.events),

@@ -24,9 +24,9 @@
  *                   the upper bound (2^b - 1) of the power-of-two
  *                   bucket holding that quantile, not a sample
  *
- * With --tcp the transport is a loopback TCP listener (ephemeral
- * port) and the clients use the versioned hello; each workload then
- * also runs a RECONNECT STORM — one stream killed and resumed
+ * Every client opens its stream with the Hello2 handshake. With
+ * --tcp the transport is a loopback TCP listener (ephemeral port);
+ * each workload then also runs a RECONNECT STORM — one stream killed and resumed
  * between every slice of the trace — reporting storm_eps and the
  * reconnect count. The storm verdict is digest-checked against
  * offline replay like every other stream: resume is only benched
@@ -197,14 +197,12 @@ main(int argc, char **argv)
                 ts.emplace_back([&, i] {
                     try {
                         serve::Client c;
-                        if (tcp) {
+                        if (tcp)
                             c.connectTcp("127.0.0.1", port);
-                            c.helloV2("tenant" + std::to_string(i),
-                                      modHash);
-                        } else {
+                        else
                             c.connect(sock);
-                            c.hello("tenant" + std::to_string(i));
-                        }
+                        c.helloV2("tenant" + std::to_string(i),
+                                  modHash);
                         c.sendTraceBytes(trace.data(), trace.size(),
                                          0);
                         serve::StreamResult r = c.end();

@@ -34,7 +34,7 @@ main()
             vm.setInputs(wl.benignInputs);
             vm.setRecordTrace(false);
             Detector det(prog);
-            det.setRequestSink(cpu.requestSink());
+            det.setRequestRing(&cpu.requestRing());
             vm.addObserver(&det);
             vm.addObserver(&cpu);
             vm.run();

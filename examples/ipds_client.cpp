@@ -11,13 +11,11 @@
  * the server's current /statsz page is fetched instead of (or after)
  * streaming.
  *
- * By default the stream opens with the versioned hello: the module
- * hash is read from the trace file header (or computed from a
- * --module source), routing the stream to the matching program on a
- * multi-program server, and reconnect/resume is armed — a dropped
- * connection redials and resumes from the server's last ack instead
- * of failing. --legacy-hello forces the v1 handshake (first
- * registered module, fail on drop).
+ * The stream opens with the Hello2 handshake: the module hash is read
+ * from the trace file header (or computed from a --module source),
+ * routing the stream to the matching program on a multi-program
+ * server, and reconnect/resume is armed — a dropped connection
+ * redials and resumes from the server's last ack instead of failing.
  *
  * Exit code: 0 clean stream, 2 the server raised alarms, 1 on
  * usage/transport error or a server-side reject.
@@ -50,7 +48,6 @@ main(int argc, char **argv)
     size_t frameBytes = 0;
     bool statszOnly = false;
     bool wantStatsz = false;
-    bool legacyHello = false;
     args.positional("trace", &trace,
                     "IPDS trace file to stream ('-' with --statsz-only"
                     " to skip streaming)");
@@ -64,8 +61,6 @@ main(int argc, char **argv)
                 "instead of the trace header's");
     args.sizeOpt("frame-bytes", &frameBytes,
                  "transport frame payload size (0 = 64KiB)");
-    args.boolOpt("legacy-hello", &legacyHello,
-                 "use the v1 hello (no routing, no resume)");
     args.boolOpt("statsz", &wantStatsz,
                  "also fetch the server /statsz page after the "
                  "stream");
@@ -95,40 +90,36 @@ main(int argc, char **argv)
             return 0;
         }
 
-        if (legacyHello) {
-            cl.hello(tenant);
-        } else {
-            uint64_t hash = 0;
-            if (!moduleSrc.empty()) {
-                std::string source;
-                bool found = false;
-                for (const auto &wl : allWorkloads()) {
-                    if (wl.name == moduleSrc) {
-                        source = wl.source;
-                        found = true;
-                    }
+        uint64_t hash = 0;
+        if (!moduleSrc.empty()) {
+            std::string source;
+            bool found = false;
+            for (const auto &wl : allWorkloads()) {
+                if (wl.name == moduleSrc) {
+                    source = wl.source;
+                    found = true;
                 }
-                if (!found) {
-                    std::ifstream in(moduleSrc);
-                    if (!in) {
-                        std::fprintf(stderr, "cannot open %s\n",
-                                     moduleSrc.c_str());
-                        return 1;
-                    }
-                    std::ostringstream ss;
-                    ss << in.rdbuf();
-                    source = ss.str();
-                }
-                CompiledProgram prog =
-                    compileAndAnalyze(source, moduleSrc);
-                hash = replay::moduleContentHash(prog.mod);
-            } else {
-                // The trace header records which program produced
-                // it; the server routes the stream to that module.
-                hash = replay::readTraceHeader(trace).moduleHash;
             }
-            cl.helloV2(tenant, hash);
+            if (!found) {
+                std::ifstream in(moduleSrc);
+                if (!in) {
+                    std::fprintf(stderr, "cannot open %s\n",
+                                 moduleSrc.c_str());
+                    return 1;
+                }
+                std::ostringstream ss;
+                ss << in.rdbuf();
+                source = ss.str();
+            }
+            CompiledProgram prog =
+                compileAndAnalyze(source, moduleSrc);
+            hash = replay::moduleContentHash(prog.mod);
+        } else {
+            // The trace header records which program produced
+            // it; the server routes the stream to that module.
+            hash = replay::readTraceHeader(trace).moduleHash;
         }
+        cl.helloV2(tenant, hash);
         cl.sendTraceFile(trace, frameBytes);
         serve::StreamResult r = cl.end();
         std::fputs(r.text.c_str(), stdout);

@@ -11,9 +11,8 @@
  * shutdown.
  *
  * One server can protect several programs at once: --module adds
- * extra programs to the registry, and versioned-hello clients are
- * routed to the module whose content hash they name. Legacy (v1)
- * hello streams go to the first program (the positional one).
+ * extra programs to the registry, and each client's Hello2 routes
+ * its stream to the module whose content hash it names.
  *
  * Runs until SIGINT/SIGTERM, or until --streams N streams finished.
  *

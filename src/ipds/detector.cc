@@ -95,12 +95,6 @@ Detector::setRequestRing(RequestRing *r)
     ring = r;
 }
 
-void
-Detector::setRequestSink(std::function<void(const IpdsRequest &)> s)
-{
-    sink = std::move(s);
-}
-
 // onFunctionEnter / onFunctionExit / onBranch / applyActions are
 // defined inline in detector.h so concrete callers can inline them.
 

@@ -19,8 +19,8 @@
  *    generation stamp, so entry/exit are O(entryActions) and
  *    allocation-free in steady state;
  *  - hardware requests stream through a RequestRing written inline,
- *    not through a type-erased callback (the std::function sink is
- *    kept as a slower compatibility path).
+ *    not through a type-erased callback; the ring is the one request
+ *    transport (ReferenceDetector keeps a plain sink as the oracle).
  *
  * Timing (queueing, spills, latency) is modelled separately in
  * src/timing; this class is exact w.r.t. detection semantics and also
@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -141,14 +140,13 @@ class Detector final : public ExecObserver
     void reset();
 
     /**
-     * Fast request path: every hardware request is written into @p ring
-     * inline. The ring must be drained by the consumer at least once
-     * per committed instruction (CpuModel does). Overrides any sink.
+     * Request transport: every hardware request is written into
+     * @p ring inline (null, the default, emits none). A timing
+     * consumer drains it at least once per committed instruction
+     * (CpuModel does); a ring without an overflow sink instead grows,
+     * so a harness may also drain it in order after the run.
      */
     void setRequestRing(RequestRing *ring);
-
-    /** Compatibility sink; ignored while a request ring is attached. */
-    void setRequestSink(std::function<void(const IpdsRequest &)> sink);
 
     /**
      * Attach a structured-event tracer (obs/trace.h): branch commits,
@@ -296,15 +294,6 @@ class Detector final : public ExecObserver
         fr.word[slot] = (fr.epoch << 2) | static_cast<uint32_t>(s);
     }
 
-    void
-    emit(const IpdsRequest &rq)
-    {
-        if (ring)
-            ring->push(rq);
-        else if (sink)
-            sink(rq);
-    }
-
     void applyActions(Frame &fr, const SlotAction *acts, uint32_t n);
 
     const CompiledProgram &prog;
@@ -318,7 +307,6 @@ class Detector final : public ExecObserver
     std::vector<Alarm> alarmList;
     DetectorStats stat;
     RequestRing *ring = nullptr;
-    std::function<void(const IpdsRequest &)> sink;
     /** In-batch event index stamped onto emitted requests (onBatch). */
     uint32_t curSeq = 0;
     obs::Tracer *trc = nullptr;
@@ -376,14 +364,14 @@ Detector::onFunctionEnter(FuncId f)
     stat.framesPushed++;
     stat.maxStackDepth = std::max(stat.maxStackDepth, stack.size());
 
-    if (ring || sink) {
+    if (ring) {
         IpdsRequest rq;
         rq.kind = IpdsRequest::Kind::PushFrame;
         rq.func = f;
         rq.actionCount =
             static_cast<uint32_t>(t.entryActions.size());
         rq.tableBits = t.bsvBits + t.bcvBits + t.batBits;
-        emit(rq);
+        ring->push(rq);
     }
     if (trc)
         trc->record(obs::kCatFrame, obs::TraceKind::FramePush, f, 0,
@@ -405,12 +393,12 @@ Detector::onFunctionExit(FuncId f)
     curFrame = e.frame;
     stack.pop_back();
 
-    if (ring || sink) {
+    if (ring) {
         IpdsRequest rq;
         rq.kind = IpdsRequest::Kind::PopFrame;
         rq.func = f;
         rq.tableBits = t.bsvBits + t.bcvBits + t.batBits;
-        emit(rq);
+        ring->push(rq);
     }
     if (trc)
         trc->record(obs::kCatFrame, obs::TraceKind::FramePop, f, 0,
@@ -503,18 +491,6 @@ Detector::onBranch(FuncId f, uint64_t pc, bool taken)
         uq.tableBits = 0;
         uq.seq = curSeq;
         ring->advance(true);
-    } else if (sink) {
-        IpdsRequest rq;
-        rq.func = f;
-        rq.pc = pc;
-        rq.seq = curSeq;
-        if (checked) {
-            rq.kind = IpdsRequest::Kind::Check;
-            sink(rq);
-        }
-        rq.kind = IpdsRequest::Kind::Update;
-        rq.actionCount = nActs;
-        sink(rq);
     }
 
     if (trc) {

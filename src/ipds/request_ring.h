@@ -6,10 +6,10 @@
  * The request descriptor sent from the detector to the (modelled) IPDS
  * hardware engine, and the small-buffer ring that transports it.
  *
- * The ring replaces the old `std::function` sink on the hot path: the
- * detector writes records inline (no indirect call, no allocation) and
- * the timing model drains them in batches at the commit point of the
- * triggering instruction. Producer and consumer run on the same thread
+ * The ring is Detector's one request transport: the detector writes
+ * records inline (no indirect call, no allocation) and the timing
+ * model drains them in batches at the commit point of the triggering
+ * instruction. Producer and consumer run on the same thread
  * (both are Vm observers), so no synchronization is needed; the ring
  * only bounds how far the producer may run ahead of a drain.
  *

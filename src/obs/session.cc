@@ -3,14 +3,12 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 
 #include "obs/names.h"
 #include "replay/replay.h"
 #include "replay/snapshot.h"
-#include "serve/server.h"
 #include "support/diag.h"
 #include "support/threadpool.h"
 
@@ -31,63 +29,32 @@ Session::Builder::build()
         fatal("Session: no program() configured");
     if (o.shards > 256)
         fatal("Session: at most 256 shards (got %u)", o.shards);
-    if (o.shards > 1 && !o.extraObservers.empty())
+    const ExecPlan *exec = o.exec();
+    if (o.shards > 1 && exec && !exec->observers.empty())
         fatal("Session: observe() requires a single shard (observers "
               "would be shared across shard threads)");
     if (o.planCount > 1)
         fatal("Session: plans are mutually exclusive — configure "
               "exactly one plan()");
-    if (!o.capturePath.empty() && !o.replayPath.empty())
-        fatal("Session: captureTo() and replayFrom() are mutually "
-              "exclusive");
-    if (o.isServe) {
-        if (o.servePath.empty() && o.serveTcpHost.empty())
-            fatal("Session: a ServePlan needs a listener — a unix "
-                  "socket path and/or tcp(host, port)");
-        // Only reachable by mixing plan(ServePlan) with the
-        // deprecated shims; the plan types themselves cannot express
-        // these combinations.
-        if (!o.capturePath.empty() || !o.replayPath.empty())
-            fatal("Session: a ServePlan is mutually exclusive with "
-                  "capture/replay");
-        if (o.hasTamper || !o.extraTampers.empty() || o.hasFault ||
-            !o.extraObservers.empty())
-            fatal("Session: a ServePlan run has no VM — tamper(), "
-                  "faultPlan() and observe() do not apply");
-    }
-    if (!o.replayPath.empty()) {
-        if (o.hasFault)
-            fatal("Session: replayFrom() cannot combine with "
-                  "faultPlan() — faults are captured into the trace "
-                  "and reproduced from it");
-        if (o.hasTamper || !o.extraTampers.empty())
-            fatal("Session: replayFrom() cannot combine with "
-                  "tamper() (the tamper's effects are already in the "
-                  "recorded stream)");
-        if (!o.extraObservers.empty())
-            fatal("Session: replayFrom() cannot combine with "
-                  "observe() — replay has no VM to observe");
-        if ((o.replayParallel ? 1 : 0) +
-                (o.replaySeekSessionSet ? 1 : 0) +
-                (o.replaySeekChunkSet ? 1 : 0) > 1)
+    if (const ReplayPlan *rp = std::get_if<ReplayPlan>(&o.plan)) {
+        if ((rp->parallelSet ? 1 : 0) + (rp->hasSeekSession ? 1 : 0) +
+                (rp->hasSeekChunk ? 1 : 0) > 1)
             fatal("Session: ReplayPlan parallel(), seekSession() and "
                   "seekChunk() are mutually exclusive");
         // Recipe checks that need the capture's geometry read just
         // the header now, so a bad plan fails at build() instead of
         // mid-replay.
-        if ((o.replayParallel && o.replayWorkers > 0) ||
-            o.replaySeekChunkSet) {
-            replay::TraceMeta m =
-                replay::readTraceHeader(o.replayPath);
-            if (o.replayParallel && m.hasTiming &&
-                o.replayWorkers > m.shards)
+        if ((rp->parallelSet && rp->parallelWorkers > 0) ||
+            rp->hasSeekChunk) {
+            replay::TraceMeta m = replay::readTraceHeader(rp->path);
+            if (rp->parallelSet && m.hasTiming &&
+                rp->parallelWorkers > m.shards)
                 fatal("Session: parallel(%u) exceeds the capture "
                       "shard geometry — a timing trace parallelizes "
                       "per capture shard and '%s' was recorded with "
                       "%u shard(s)",
-                      o.replayWorkers, o.replayPath.c_str(),
-                      m.shards);
-            if (o.replaySeekChunkSet && m.hasTiming)
+                      rp->parallelWorkers, rp->path.c_str(), m.shards);
+            if (rp->hasSeekChunk && m.hasTiming)
                 fatal("Session: seekChunk() is not available for "
                       "timing traces (the CPU scoreboard is not "
                       "snapshotted) — use seekSession()");
@@ -95,10 +62,8 @@ Session::Builder::build()
     }
     if (!o.detectorExplicit && o.useTiming)
         o.detectorOn = o.timingCfg.ipdsEnabled;
-    if (!o.recordTraceExplicit)
-        o.recordTrace = o.sessions == 1;
-    if (o.hasFault && o.useTiming)
-        o.fault.applyTo(o.timingCfg);
+    if (exec && exec->hasFault && o.useTiming)
+        exec->fault.applyTo(o.timingCfg);
     return Session(std::move(o));
 }
 
@@ -130,6 +95,7 @@ void
 Session::runShard(uint32_t shard, ShardOut &out,
                   replay::TraceWriter *capture) const
 {
+    const ExecPlan &ex = *opt.exec();
     const uint32_t begin = shard * opt.sessions / opt.shards;
     const uint32_t end = (shard + 1) * opt.sessions / opt.shards;
 
@@ -153,23 +119,23 @@ Session::runShard(uint32_t shard, ShardOut &out,
         Vm vm(opt.prog->mod, dec);
         vm.setInputs(opt.inputs);
         vm.setFuel(opt.fuel);
-        vm.setRecordTrace(opt.recordTrace);
+        vm.setRecordTrace(opt.sessions == 1);
         if (trc)
             vm.setTracer(trc, s);
-        if (opt.hasTamper)
-            vm.setTamper(opt.tamperSpec);
-        for (const TamperSpec &spec : opt.extraTampers)
+        if (ex.hasTamper)
+            vm.setTamper(ex.tamperSpec);
+        for (const TamperSpec &spec : ex.extraTampers)
             vm.addTamper(spec);
 
         // Capture brackets the session; when the ring-fault filter is
         // armed below, the same parameters go into the record so
         // replay re-arms it identically.
         if (capture) {
-            if (opt.hasFault && cpu)
+            if (ex.hasFault && cpu)
                 capture->beginSession(
-                    s, opt.fault.ringDropPermille,
-                    opt.fault.ringDupPermille,
-                    opt.fault.seed ^ (s * 0x9e3779b97f4a7c15ULL));
+                    s, ex.fault.ringDropPermille,
+                    ex.fault.ringDupPermille,
+                    ex.fault.seed ^ (s * 0x9e3779b97f4a7c15ULL));
             else
                 capture->beginSession(s);
         }
@@ -212,8 +178,8 @@ Session::runShard(uint32_t shard, ShardOut &out,
         // order, so faults land at identical commit points in every
         // delivery mode. Per-session salts/seeds keep aggregates a
         // pure function of the session index.
-        FaultInjector inj(opt.fault, s);
-        if (opt.hasFault) {
+        FaultInjector inj(ex.fault, s);
+        if (ex.hasFault) {
             if (trc)
                 inj.setTracer(trc);
             if (opt.detectorOn) {
@@ -224,11 +190,11 @@ Session::runShard(uint32_t shard, ShardOut &out,
                 inj.addTarget(&*cpu);
                 inj.setCpu(&*cpu);
                 cpu->requestRing().setFault(
-                    opt.fault.ringDropPermille,
-                    opt.fault.ringDupPermille,
-                    opt.fault.seed ^ (s * 0x9e3779b97f4a7c15ULL));
+                    ex.fault.ringDropPermille,
+                    ex.fault.ringDupPermille,
+                    ex.fault.seed ^ (s * 0x9e3779b97f4a7c15ULL));
             }
-            for (ExecObserver *obs : opt.extraObservers)
+            for (ExecObserver *obs : ex.observers)
                 inj.addTarget(obs);
             // The recorder is the LAST target, so it sees the stream
             // every real consumer saw; the event sink puts the
@@ -240,14 +206,14 @@ Session::runShard(uint32_t shard, ShardOut &out,
             }
             vm.addObserver(&inj);
             for (const TamperSpec &spec :
-                 opt.fault.memTamperSpecs(s))
+                 ex.fault.memTamperSpecs(s))
                 vm.addTamper(spec);
         } else {
             if (opt.detectorOn)
                 vm.addObserver(&det);
             if (cpu)
                 vm.addObserver(&*cpu);
-            for (ExecObserver *obs : opt.extraObservers)
+            for (ExecObserver *obs : ex.observers)
                 vm.addObserver(obs);
             if (capture)
                 vm.addObserver(capture);
@@ -257,7 +223,7 @@ Session::runShard(uint32_t shard, ShardOut &out,
         uint64_t firedTampers = 0;
         for (const TamperRecord &tr : r.faultTampers)
             firedTampers += tr.fired ? 1 : 0;
-        if (opt.hasFault) {
+        if (ex.hasFault) {
             out.fault.merge(inj.stats());
             out.fault.memTampers += firedTampers;
         }
@@ -286,7 +252,7 @@ Session::runShard(uint32_t shard, ShardOut &out,
 
     if (cpu) {
         out.tim = cpu->stats();
-        if (opt.hasFault) {
+        if (ex.hasFault) {
             out.fault.ringDrops =
                 cpu->requestRing().faultDropCount();
             out.fault.ringDups = cpu->requestRing().faultDupCount();
@@ -314,17 +280,15 @@ Session::runShard(uint32_t shard, ShardOut &out,
         obs::exportDetectorStats(out.det, out.alarms.size(), out.reg);
     if (opt.useTiming)
         obs::exportTimingStats(out.tim, out.reg);
-    if (opt.hasFault)
+    if (ex.hasFault)
         obs::exportFaultStats(out.fault, out.reg);
 }
 
 Session &
 Session::run()
 {
-    if (opt.isServe || !opt.servePath.empty())
-        return runServe();
-    if (!opt.replayPath.empty())
-        return runReplay();
+    if (const ReplayPlan *rp = std::get_if<ReplayPlan>(&opt.plan))
+        return runReplay(*rp);
 
     alarmList.clear();
     detStat = {};
@@ -339,18 +303,19 @@ Session::run()
     // first; a single shard then writes chunks straight to the file,
     // while sharded captures buffer per shard and concatenate in
     // shard order at the join (chunk session ids stay monotonic).
-    const bool capturing = !opt.capturePath.empty();
+    const CapturePlan *cap = std::get_if<CapturePlan>(&opt.plan);
+    const bool capturing = cap != nullptr;
     std::ofstream capFile;
     uint64_t capHeaderBytes = 0;
     uint64_t capSnapsWritten = 0;
     std::vector<std::unique_ptr<std::ostringstream>> capBufs;
     std::vector<std::unique_ptr<replay::TraceWriter>> capWriters;
     if (capturing) {
-        capFile.open(opt.capturePath,
+        capFile.open(cap->path,
                      std::ios::binary | std::ios::trunc);
         if (!capFile)
             fatal("Session: cannot open capture file '%s'",
-                  opt.capturePath.c_str());
+                  cap->path.c_str());
         replay::TraceMeta meta;
         meta.moduleHash = replay::moduleContentHash(opt.prog->mod);
         meta.sessions = opt.sessions;
@@ -360,7 +325,7 @@ Session::run()
         if (opt.useTiming)
             meta.flags |=
                 replay::kFlagFullStream | replay::kFlagTiming;
-        if (opt.hasFault)
+        if (opt.exec()->hasFault)
             meta.flags |= replay::kFlagFault;
         if (opt.detectorOn)
             meta.flags |= replay::kFlagDetector;
@@ -382,7 +347,7 @@ Session::run()
             capWriters.push_back(
                 std::make_unique<replay::TraceWriter>(*sink, mode));
             capWriters.back()->snapshotEvery(
-                opt.captureSnapshotEvery);
+                cap->snapEvery);
         }
     }
     auto captureFor = [&](uint32_t s) {
@@ -431,7 +396,7 @@ Session::run()
         capFile.close();
         if (!capFile)
             fatal("Session: error writing capture file '%s'",
-                  opt.capturePath.c_str());
+                  cap->path.c_str());
     }
 
     // Deterministic join: merge in shard order, independent of which
@@ -457,7 +422,7 @@ Session::run()
 }
 
 Session &
-Session::runReplay()
+Session::runReplay(const ReplayPlan &rp)
 {
     alarmList.clear();
     detStat = {};
@@ -468,12 +433,12 @@ Session::runReplay()
     traceLog.clear();
     traceLost = 0;
 
-    const bool wantIndex = opt.replayParallel ||
-        opt.replaySeekSessionSet || opt.replaySeekChunkSet;
+    const bool wantIndex =
+        rp.parallelSet || rp.hasSeekSession || rp.hasSeekChunk;
     replay::IndexedLoad idxInfo;
     replay::TraceFile tf = wantIndex
-        ? replay::TraceFile::loadIndexed(opt.replayPath, &idxInfo)
-        : replay::TraceFile::load(opt.replayPath);
+        ? replay::TraceFile::loadIndexed(rp.path, &idxInfo)
+        : replay::TraceFile::load(rp.path);
     replay::ReplayEngine eng(tf, *opt.prog);
     const replay::TraceMeta &m = tf.meta();
     const std::vector<replay::ChunkRef> &chunks = tf.chunks();
@@ -503,13 +468,13 @@ Session::runReplay()
     std::vector<replay::ReplayShardResult> outs;
     auto t0 = std::chrono::steady_clock::now();
 
-    if (opt.replaySeekSessionSet || opt.replaySeekChunkSet) {
+    if (rp.hasSeekSession || rp.hasSeekChunk) {
         // ---- seek: one span cursor over the trace tail; earlier
         // chunks are never read (the chunk meter proves the skip).
         outs.resize(1);
         seeks = 1;
-        if (opt.replaySeekSessionSet) {
-            uint32_t s = opt.replaySeekSession;
+        if (rp.hasSeekSession) {
+            uint32_t s = rp.seekSessionIdx;
             if (s >= m.sessions)
                 fatal("Session: seekSession(%u) out of range (trace "
                       "has %u sessions)",
@@ -517,18 +482,18 @@ Session::runReplay()
             eng.replayChunkRange(firstChunkOf(s), chunks.size(), s,
                                  m.sessions, outs[0]);
         } else {
-            if (opt.replaySeekChunk >= chunks.size())
+            if (rp.seekChunkIdx >= chunks.size())
                 fatal("Session: seekChunk(%llu) out of range (trace "
                       "has %zu chunks)",
                       static_cast<unsigned long long>(
-                          opt.replaySeekChunk),
+                          rp.seekChunkIdx),
                       chunks.size());
             if (m.hasTiming)
                 fatal("Session: seekChunk() is not available for "
                       "timing traces (the CPU scoreboard is not "
                       "snapshotted) — use seekSession()");
             const size_t k =
-                static_cast<size_t>(opt.replaySeekChunk);
+                static_cast<size_t>(rp.seekChunkIdx);
             const uint32_t sess = chunks[k].session;
             size_t sessStart = k;
             while (sessStart > 0 &&
@@ -581,7 +546,7 @@ Session::runReplay()
             cur.finish();
             outs[0] = std::move(cur.result());
         }
-    } else if (opt.replayParallel && idxInfo.usedIndex) {
+    } else if (rp.parallelSet && idxInfo.usedIndex) {
         // ---- parallel: detector-only traces split per session (each
         // session's detector starts fresh); timing traces split per
         // capture shard (the CpuModel persists across a shard's
@@ -611,8 +576,8 @@ Session::runReplay()
                     {firstChunkOf(s), firstChunkOf(s + 1), s, s + 1});
         }
 
-        unsigned workers = opt.replayWorkers
-            ? opt.replayWorkers
+        unsigned workers = rp.parallelWorkers
+            ? rp.parallelWorkers
             : ThreadPool::defaultWorkers();
         if (workers > units.size())
             workers = static_cast<unsigned>(units.size());
@@ -727,84 +692,6 @@ Session::runReplay()
     registry.set(registry.gauge(n::kReplayEventsPerSec),
                  secs > 0.0 ? static_cast<uint64_t>(totalEvents / secs)
                             : 0);
-    return *this;
-}
-
-// Held via shared_ptr so stopServing() from another thread stays safe
-// while the Session object itself may be moved; srv is only non-null
-// for the duration of runServe()'s serving window.
-struct Session::ServeHandle
-{
-    std::mutex m;
-    serve::Server *srv = nullptr;
-};
-
-void
-Session::stopServing()
-{
-    std::shared_ptr<ServeHandle> h = serveHandle;
-    if (!h)
-        return;
-    std::lock_guard<std::mutex> lk(h->m);
-    if (h->srv)
-        h->srv->requestStop();
-}
-
-Session &
-Session::runServe()
-{
-    alarmList.clear();
-    detStat = {};
-    timStat = {};
-    fltStat = {};
-    firstResult = {};
-    registry = {};
-    traceLog.clear();
-    traceLost = 0;
-    serveStatszText.clear();
-
-    serve::ServerConfig cfg;
-    cfg.socketPath = opt.servePath;
-    cfg.tcpHost = opt.serveTcpHost;
-    cfg.tcpPort = opt.serveTcpPort;
-    cfg.threads = opt.threads;
-    if (opt.serveMaxFrame)
-        cfg.maxFrameBytes = opt.serveMaxFrame;
-    if (opt.servePendingCap)
-        cfg.pendingChunkCap = opt.servePendingCap;
-
-    serve::Server srv(*opt.prog, cfg);
-    for (const CompiledProgram *extra : opt.serveExtras)
-        srv.registerModule(*extra);
-    serveHandle = std::make_shared<ServeHandle>();
-    {
-        std::lock_guard<std::mutex> lk(serveHandle->m);
-        serveHandle->srv = &srv;
-    }
-    srv.start();
-    // stopAfter == 0 means serve until stopServing(); waitForStreams
-    // returns early once the server stops.
-    srv.waitForStreams(opt.serveStopAfter ? opt.serveStopAfter
-                                          : UINT64_MAX);
-    {
-        std::lock_guard<std::mutex> lk(serveHandle->m);
-        serveHandle->srv = nullptr;
-    }
-    serveHandle.reset();
-    srv.stopAndJoin();
-    serveStatszText = srv.statszText();
-
-    // Deterministic join, like the live and replay paths: tenants in
-    // name order (snapshot() sorts), streams in completion order
-    // within each tenant.
-    for (const serve::TenantSnapshot &t : srv.snapshot()) {
-        detStat.merge(t.det);
-        timStat.merge(t.tim);
-        fltStat.merge(t.fault);
-        alarmList.insert(alarmList.end(), t.alarms.begin(),
-                         t.alarms.end());
-        registry.merge(t.reg);
-    }
     return *this;
 }
 

@@ -35,9 +35,7 @@
  *   - ExecPlan    — execute the VM (optionally tampered / fault-
  *                   injected / observed);
  *   - CapturePlan — execute AND record an IPDS trace file;
- *   - ReplayPlan  — re-detect a recorded trace, no VM in the loop;
- *   - ServePlan   — accept recorded streams over a socket and detect
- *                   at ingest (the multi-tenant detection service).
+ *   - ReplayPlan  — re-detect a recorded trace, no VM in the loop.
  *
  *   ipds::Session cap = ipds::Session::builder()
  *                           .program(prog).inputs(in)
@@ -48,11 +46,10 @@
  *
  * The plan types make incompatible recipes unrepresentable: a
  * ReplayPlan has nowhere to hang a tamper() (the tamper's effects are
- * already in the recorded stream), a ServePlan has no observer hook.
- * The pre-plan mode setters (tamper(), faultPlan(), recordTrace(),
- * observe(), captureTo(), replayFrom()) remain as deprecated shims
- * that forward into the equivalent plan; mixing them badly still
- * fails at build() with the original diagnostics.
+ * already in the recorded stream), and a Builder holds exactly one
+ * plan. The Session keeps the plan it was given and runs from it.
+ * Serving recorded streams over a socket is serve::Server's job
+ * (src/serve/server.h), not a Session plan.
  *
  * Sharding semantics match the fig9 harness exactly: the session
  * stream splits into a FIXED number of shards (never derived from the
@@ -65,8 +62,8 @@
  * public for advanced embeddings; see the umbrella header ipds/ipds.h.
  */
 
-#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/program.h"
@@ -81,10 +78,6 @@
 #include "vm/vm.h"
 
 namespace ipds {
-
-namespace serve {
-class Server;
-} // namespace serve
 
 /**
  * Execution plan: run the VM over the configured sessions. All knobs
@@ -130,17 +123,6 @@ struct ExecPlan
     }
 
     /**
-     * Record the VM branch trace in result() (defaults to on for
-     * single-session runs, off for multi-session runs).
-     */
-    ExecPlan &recordTrace(bool on)
-    {
-        recordTraceOn = on;
-        recordTraceSet = true;
-        return *this;
-    }
-
-    /**
      * Attach an extra ExecObserver to every Vm (not owned). Only
      * valid for single-shard runs: a shared observer across shard
      * threads would race.
@@ -156,8 +138,6 @@ struct ExecPlan
     std::vector<TamperSpec> extraTampers;
     bool hasFault = false;
     FaultPlan fault;
-    bool recordTraceSet = false;
-    bool recordTraceOn = true;
     std::vector<ExecObserver *> observers;
 };
 
@@ -267,84 +247,6 @@ struct ReplayPlan
     uint64_t seekChunkIdx = 0;
 };
 
-/**
- * Serve plan: run the multi-tenant detection service. The session
- * binds a stream socket at @p socketPath, accepts framed trace
- * streams from concurrent clients (ipds_client / serve::Client), and
- * runs detection at ingest — bit-identical to a ReplayPlan over the
- * same bytes. run() blocks until stopAfterStreams() streams finished
- * (or stopServing() is called from another thread), then aggregates
- * every tenant's results in tenant-name order. threads() sizes the
- * ingest worker pool. For an open-ended daemon with its own signal
- * handling, use serve::Server (src/serve/server.h) directly — this
- * plan wraps it.
- */
-struct ServePlan
-{
-    /** @p socketPath "" = no unix listener (configure tcp()). */
-    explicit ServePlan(std::string socketPath_ = "")
-        : socketPath(std::move(socketPath_))
-    {}
-
-    /**
-     * Also listen on TCP at @p host (IPv4 dotted quad; "0.0.0.0"
-     * for all interfaces), port @p port (0 = ephemeral). Both
-     * listeners share one poll loop and actor pool.
-     */
-    ServePlan &tcp(std::string host, uint16_t port)
-    {
-        tcpHost = std::move(host);
-        tcpPort = port;
-        return *this;
-    }
-
-    /**
-     * Register an additional module in the server's registry, keyed
-     * by FNV-1a content hash: Hello v2 streams route to the module
-     * matching their hash. The Builder's program() is always
-     * registered (and serves v1 Hello streams). @p prog must outlive
-     * run().
-     */
-    ServePlan &alsoServe(const CompiledProgram &prog)
-    {
-        extraModules.push_back(&prog);
-        return *this;
-    }
-
-    /** Reject frames larger than @p n bytes (0 = wire default). */
-    ServePlan &maxFrameBytes(size_t n)
-    {
-        maxFrame = n;
-        return *this;
-    }
-
-    /**
-     * Admission control: per-stream decoded chunks allowed in flight
-     * before the server stops reading that client's socket
-     * (0 = default). Backpressure is counted, never a deadlock.
-     */
-    ServePlan &pendingChunkCap(size_t n)
-    {
-        pendingCap = n;
-        return *this;
-    }
-
-    /** Stop serving after @p n streams (0 = until stopServing()). */
-    ServePlan &stopAfterStreams(uint64_t n)
-    {
-        stopAfter = n;
-        return *this;
-    }
-
-    std::string socketPath;
-    std::string tcpHost;
-    uint16_t tcpPort = 0;
-    std::vector<const CompiledProgram *> extraModules;
-    size_t maxFrame = 0;
-    size_t pendingCap = 0;
-    uint64_t stopAfter = 0;
-};
-
 class Session
 {
   public:
@@ -372,10 +274,11 @@ class Session
     /** Timing aggregates (zero unless timing() was configured). */
     const TimingStats &timingStats() const { return timStat; }
 
-    /** Injection aggregates (zero unless faultPlan() was enabled). */
+    /** Injection aggregates (zero unless the plan armed faults()). */
     const FaultStats &faultStats() const { return fltStat; }
 
-    /** VM result of session 0 (output, exit code, branch trace). */
+    /** VM result of session 0: output, exit code, and the branch
+     *  trace (recorded for single-session runs only). */
     const RunResult &result() const { return firstResult; }
 
     /** The run's metrics, under the obs/names.h naming scheme. */
@@ -401,17 +304,6 @@ class Session
     /** Events lost to ring wraparound across all shards. */
     uint64_t traceDropped() const { return traceLost; }
 
-    // ---- ServePlan runs ---------------------------------------------
-
-    /**
-     * Ask a blocking ServePlan run() (in another thread) to stop
-     * accepting and return. Thread-safe; a no-op when not serving.
-     */
-    void stopServing();
-
-    /** Final /statsz snapshot of a ServePlan run ("" otherwise). */
-    const std::string &serveStatsz() const { return serveStatszText; }
-
   private:
     friend class Builder;
 
@@ -427,48 +319,29 @@ class Session
         bool detectorOn = true;
         bool detectorExplicit = false;
         uint64_t fuel = 50'000'000;
-        bool hasTamper = false;
-        TamperSpec tamperSpec;
-        std::vector<TamperSpec> extraTampers;
-        bool hasFault = false;
-        FaultPlan fault;
-        bool recordTrace = true;
-        bool recordTraceExplicit = false;
-        std::vector<ExecObserver *> extraObservers;
         uint32_t traceCategories = 0; ///< 0: tracing off
         uint32_t traceCapacity = 4096;
-        std::string capturePath; ///< record a trace (CapturePlan)
-        uint32_t captureSnapshotEvery = 4;
-        std::string replayPath;  ///< replay a trace (ReplayPlan)
-        bool replayParallel = false;
-        unsigned replayWorkers = 0;
-        bool replaySeekSessionSet = false;
-        uint32_t replaySeekSession = 0;
-        bool replaySeekChunkSet = false;
-        uint64_t replaySeekChunk = 0;
-        bool isServe = false;    ///< a ServePlan was configured
-        std::string servePath;   ///< serve a socket (ServePlan)
-        std::string serveTcpHost;
-        uint16_t serveTcpPort = 0;
-        std::vector<const CompiledProgram *> serveExtras;
-        size_t serveMaxFrame = 0;
-        size_t servePendingCap = 0;
-        uint64_t serveStopAfter = 0;
+        std::variant<ExecPlan, CapturePlan, ReplayPlan> plan;
         int planCount = 0; ///< plan() calls seen by the Builder
+
+        /** The VM knobs: the ExecPlan itself or the one a CapturePlan
+         *  nests; null for a ReplayPlan. */
+        const ExecPlan *exec() const
+        {
+            if (const CapturePlan *c = std::get_if<CapturePlan>(&plan))
+                return &c->execPlan;
+            return std::get_if<ExecPlan>(&plan);
+        }
     };
 
     explicit Session(Options o);
 
     struct ShardOut;
-    struct ServeHandle;
     void runShard(uint32_t shard, ShardOut &out,
                   replay::TraceWriter *capture) const;
-    Session &runReplay();
-    Session &runServe();
+    Session &runReplay(const ReplayPlan &rp);
 
     Options opt;
-    std::shared_ptr<ServeHandle> serveHandle;
-    std::string serveStatszText;
 
     // Results.
     std::vector<Alarm> alarmList;
@@ -569,127 +442,23 @@ class Session::Builder
     // ---- the run's plan (configure exactly one) ---------------------
 
     /** Execute the VM with the given knobs (the default plan). */
-    Builder &plan(ExecPlan p)
-    {
-        o.planCount++;
-        applyExec(std::move(p));
-        return *this;
-    }
+    Builder &plan(ExecPlan p) { return setPlan(std::move(p)); }
 
     /** Execute AND record an IPDS trace file (see CapturePlan). */
-    Builder &plan(CapturePlan p)
-    {
-        o.planCount++;
-        o.capturePath = std::move(p.path);
-        o.captureSnapshotEvery = p.snapEvery;
-        applyExec(std::move(p.execPlan));
-        return *this;
-    }
+    Builder &plan(CapturePlan p) { return setPlan(std::move(p)); }
 
     /** Re-detect a recorded trace, no VM (see ReplayPlan). */
-    Builder &plan(ReplayPlan p)
-    {
-        o.planCount++;
-        o.replayPath = std::move(p.path);
-        o.replayParallel = p.parallelSet;
-        o.replayWorkers = p.parallelWorkers;
-        o.replaySeekSessionSet = p.hasSeekSession;
-        o.replaySeekSession = p.seekSessionIdx;
-        o.replaySeekChunkSet = p.hasSeekChunk;
-        o.replaySeekChunk = p.seekChunkIdx;
-        return *this;
-    }
-
-    /** Run the multi-tenant detection service (see ServePlan). */
-    Builder &plan(ServePlan p)
-    {
-        o.planCount++;
-        o.isServe = true;
-        o.servePath = std::move(p.socketPath);
-        o.serveTcpHost = std::move(p.tcpHost);
-        o.serveTcpPort = p.tcpPort;
-        o.serveExtras = std::move(p.extraModules);
-        o.serveMaxFrame = p.maxFrame;
-        o.servePendingCap = p.pendingCap;
-        o.serveStopAfter = p.stopAfter;
-        return *this;
-    }
-
-    // ---- deprecated pre-plan mode setters ---------------------------
-    //
-    // Shims for source compatibility: each forwards into the same
-    // Options fields its plan-based replacement writes, and build()
-    // still rejects the historically-invalid combinations with the
-    // original diagnostics. New code composes a typed plan instead —
-    // the plan types make those combinations unrepresentable.
-
-    /** @deprecated Use plan(ExecPlan().tamper(spec)). */
-    [[deprecated("use plan(ExecPlan().tamper(spec))")]]
-    Builder &tamper(const TamperSpec &spec)
-    {
-        o.hasTamper = true;
-        o.tamperSpec = spec;
-        return *this;
-    }
-
-    /** @deprecated Use plan(ExecPlan().faults(p)). */
-    [[deprecated("use plan(ExecPlan().faults(p))")]]
-    Builder &faultPlan(const FaultPlan &p)
-    {
-        o.hasFault = p.enabled();
-        o.fault = p;
-        return *this;
-    }
-
-    /** @deprecated Use plan(ExecPlan().recordTrace(on)). */
-    [[deprecated("use plan(ExecPlan().recordTrace(on))")]]
-    Builder &recordTrace(bool on)
-    {
-        o.recordTrace = on;
-        o.recordTraceExplicit = true;
-        return *this;
-    }
-
-    /** @deprecated Use plan(ExecPlan().observe(obs)). */
-    [[deprecated("use plan(ExecPlan().observe(obs))")]]
-    Builder &observe(ExecObserver *obs)
-    {
-        o.extraObservers.push_back(obs);
-        return *this;
-    }
-
-    /** @deprecated Use plan(CapturePlan(path)). */
-    [[deprecated("use plan(CapturePlan(path))")]]
-    Builder &captureTo(const std::string &path)
-    {
-        o.capturePath = path;
-        return *this;
-    }
-
-    /** @deprecated Use plan(ReplayPlan(path)). */
-    [[deprecated("use plan(ReplayPlan(path))")]]
-    Builder &replayFrom(const std::string &path)
-    {
-        o.replayPath = path;
-        return *this;
-    }
+    Builder &plan(ReplayPlan p) { return setPlan(std::move(p)); }
 
     /** Validate and assemble. Throws FatalError on a bad recipe. */
     Session build();
 
   private:
-    void applyExec(ExecPlan p)
+    template <typename Plan> Builder &setPlan(Plan p)
     {
-        o.hasTamper = p.hasTamper;
-        o.tamperSpec = p.tamperSpec;
-        o.extraTampers = std::move(p.extraTampers);
-        o.hasFault = p.hasFault;
-        o.fault = p.fault;
-        if (p.recordTraceSet) {
-            o.recordTrace = p.recordTraceOn;
-            o.recordTraceExplicit = true;
-        }
-        o.extraObservers = std::move(p.observers);
+        o.planCount++;
+        o.plan = std::move(p);
+        return *this;
     }
 
     Session::Options o;

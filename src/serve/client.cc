@@ -160,16 +160,6 @@ Client::sendRaw(const std::vector<uint8_t> &bytes)
 }
 
 void
-Client::hello(const std::string &tenant)
-{
-    if (fd < 0)
-        fatal("client: not connected");
-    std::vector<uint8_t> f =
-        wire::encodeTextFrame(wire::FrameType::Hello, tenant);
-    writeAll(f.data(), f.size());
-}
-
-void
 Client::helloV2(const std::string &tenant, uint64_t moduleHash,
                 uint64_t resumeToken)
 {

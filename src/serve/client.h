@@ -8,7 +8,7 @@
  *
  *   serve::Client c;
  *   c.connect("/tmp/ipds.sock");      // or c.connectTcp(host, port)
- *   c.hello("tenant-a");              // or c.helloV2(tenant, hash)
+ *   c.helloV2("tenant-a", replay::moduleContentHash(prog.mod));
  *   c.sendTraceFile("run.ipds");
  *   serve::StreamResult r = c.end();
  *   if (!r.ok) ...            // server rejected the stream
@@ -27,8 +27,7 @@
  * backoff), replays Hello2 with the resume flag and the last acked
  * (offset, chunks) watermark, and re-feeds from there. The server
  * dedupes the overlap, so the final Result is bit-identical to an
- * uninterrupted stream. v1 hello() keeps the old fail-on-drop
- * behavior.
+ * uninterrupted stream.
  */
 
 #include <cstdint>
@@ -66,10 +65,6 @@ class Client
 
     /** Connect to the server's TCP listener (IPv4 dotted quad). */
     void connectTcp(const std::string &host, uint16_t port);
-
-    /** Open a stream as @p tenant (v1 hello: first registered
-     *  module, no resume). */
-    void hello(const std::string &tenant);
 
     /**
      * Open a stream with the versioned hello: route to the module

@@ -33,9 +33,8 @@ namespace n = obs::names;
 using Clock = std::chrono::steady_clock;
 
 uint64_t
-alarmDigest(const std::vector<Alarm> &alarms)
+alarmDigest(const std::vector<Alarm> &alarms, uint64_t h)
 {
-    uint64_t h = 0xcbf29ce484222325ull; // FNV-1a
     auto mix = [&h](uint64_t v) {
         for (int i = 0; i < 8; i++) {
             h ^= (v >> (8 * i)) & 0xff;
@@ -150,7 +149,10 @@ struct Conn
 struct TenantState
 {
     uint64_t streams = 0;
-    std::vector<Alarm> alarms;
+    // Served alarms are folded into a count and a running digest, not
+    // kept: a long-lived server's memory must not grow with them.
+    uint64_t alarms = 0;
+    uint64_t alarmDigest = kAlarmDigestSeed;
     DetectorStats det;
     TimingStats tim;
     FaultStats fault;
@@ -175,9 +177,8 @@ struct Server::Impl
     ServerConfig cfg;
 
     // Module registry: immutable once start() runs, so actors read it
-    // without a lock. regOrder.front() serves v1 Hello streams.
+    // without a lock.
     std::unordered_map<uint64_t, const CompiledProgram *> modules;
-    std::vector<const CompiledProgram *> regOrder;
 
     int listenFd = -1;
     int tcpFd = -1;
@@ -206,6 +207,9 @@ struct Server::Impl
     bool stopped = false; ///< ingest loop exited
     uint64_t completed = 0;
     uint64_t failedStreams = 0;
+    /** Verdicts whose Done/Fail is already posted: what
+     *  waitForStreams() counts (see postVerdict). */
+    uint64_t settled = 0;
     std::map<std::string, TenantState> tenants;
     obs::MetricsRegistry reg;
     obs::MetricHandle hAccepted, hCompleted, hFailed, hFrames,
@@ -637,9 +641,10 @@ struct Server::Impl
             stalls = s->stalls;
             connId = s->connId;
         }
-        // Merge the tenant aggregate BEFORE posting Done: the Result
-        // frame is the client's signal that the stream landed, so
-        // snapshot()/statsz taken after it must already see it.
+        // Merge the tenant aggregate and count the stream BEFORE
+        // posting Done: the Result frame is the client's signal that
+        // the stream landed, so snapshot(), statsz and
+        // streamsCompleted() read after it must already see it.
         {
             std::lock_guard<std::mutex> lk(mtx);
             TenantState &t = tenants[s->tenant];
@@ -647,25 +652,31 @@ struct Server::Impl
             t.det.merge(det);
             t.tim.merge(tim);
             t.fault.merge(fault);
-            t.alarms.insert(t.alarms.end(), alarms.begin(),
-                            alarms.end());
+            t.alarms += alarms.size();
+            t.alarmDigest = alarmDigest(alarms, t.alarmDigest);
             t.reg.merge(sreg);
             t.frames += frames;
             t.bytes += bytes;
             t.stalls += stalls;
-        }
-        // Post Done BEFORE bumping the completion count: a waiter in
-        // waitForStreams() may call requestStop() the moment the
-        // count trips, and messages are ordered — counting after the
-        // post guarantees the ingest thread sends this stream's
-        // Result frame before it can ever see Stop.
-        postMsg(Msg::Done, connId);
-        {
-            std::lock_guard<std::mutex> lk(mtx);
             completed++;
             reg.add(hCompleted);
-            cv.notify_all();
         }
+        postVerdict(Msg::Done, connId);
+    }
+
+    /**
+     * Post a stream's Done/Fail, then settle it for waitForStreams().
+     * A waiter may call requestStop() the moment its count trips, and
+     * messages are ordered — settling after the post guarantees the
+     * ingest thread sends this stream's Result/Error frame before it
+     * can ever see Stop.
+     */
+    void postVerdict(Msg t, uint32_t connId)
+    {
+        postMsg(t, connId);
+        std::lock_guard<std::mutex> lk(mtx);
+        settled++;
+        cv.notify_all();
     }
 
     void failStream(const std::shared_ptr<Stream> &s,
@@ -685,8 +696,8 @@ struct Server::Impl
             stalls = s->stalls;
             connId = s->connId;
         }
-        // Same shape as finishStream: merge first (an Error frame
-        // implies the meters landed), count + notify only after the
+        // Same shape as finishStream: merge and count first (an
+        // Error frame implies the meters landed), settle after the
         // post so a woken waiter's Stop cannot overtake the Fail.
         {
             std::lock_guard<std::mutex> lk(mtx);
@@ -696,14 +707,10 @@ struct Server::Impl
                 t.bytes += bytes;
                 t.stalls += stalls;
             }
-        }
-        postMsg(Msg::Fail, connId);
-        {
-            std::lock_guard<std::mutex> lk(mtx);
             failedStreams++;
             reg.add(hFailed);
-            cv.notify_all();
         }
+        postVerdict(Msg::Fail, connId);
     }
 
     // ---- ingest thread -----------------------------------------------
@@ -823,29 +830,6 @@ struct Server::Impl
                     wire::kFrameHeaderBytes + f.payloadLen);
         }
         switch (f.type) {
-          case wire::FrameType::Hello: {
-            if (c.stream) {
-                rejectConn(c, wire::ErrorCode::Protocol,
-                           "protocol: duplicate Hello", false,
-                           false);
-                return;
-            }
-            if (f.payloadLen == 0 || f.payloadLen > 256) {
-                rejectConn(c, wire::ErrorCode::Protocol,
-                           "protocol: bad tenant name", false,
-                           false);
-                return;
-            }
-            // v1 Hello carries no module hash: route to the first
-            // registered module (single-program servers keep their
-            // PR 6 wire behavior).
-            openStream(c,
-                       std::string(reinterpret_cast<const char *>(
-                                       f.payload),
-                                   f.payloadLen),
-                       regOrder.front(), 0, 0);
-            break;
-          }
           case wire::FrameType::Hello2:
             handleHello2(c, f);
             break;
@@ -907,7 +891,7 @@ struct Server::Impl
         }
     }
 
-    /** Attach a fresh stream to @p c (both Hello versions land here). */
+    /** Attach a fresh stream to @p c (a first-attach Hello2). */
     void openStream(Conn &c, std::string tenant,
                     const CompiledProgram *prog, uint64_t moduleHash,
                     uint64_t resumeToken)
@@ -1380,7 +1364,7 @@ struct Server::Impl
             tr.add(tr.counter(n::kTenantBytes), t.bytes);
             tr.add(tr.counter(n::kTenantBackpressureStalls),
                    t.stalls);
-            tr.add(tr.counter(n::kTenantAlarms), t.alarms.size());
+            tr.add(tr.counter(n::kTenantAlarms), t.alarms);
             out += tr.toText();
         }
         return out;
@@ -1403,9 +1387,7 @@ Server::registerModule(const CompiledProgram &prog)
     Impl &im = *impl;
     if (im.started)
         fatal("serve: registerModule() after start()");
-    uint64_t h = replay::moduleContentHash(prog.mod);
-    if (im.modules.emplace(h, &prog).second)
-        im.regOrder.push_back(&prog);
+    im.modules.emplace(replay::moduleContentHash(prog.mod), &prog);
 }
 
 uint16_t
@@ -1438,7 +1420,7 @@ Server::start()
     if (im.cfg.socketPath.empty() && im.cfg.tcpHost.empty())
         fatal("serve: no listener configured (socketPath or "
               "tcpHost)");
-    if (im.regOrder.empty())
+    if (im.modules.empty())
         fatal("serve: no module registered");
 
     if (!im.cfg.socketPath.empty()) {
@@ -1553,7 +1535,7 @@ Server::waitForStreams(uint64_t n)
     Impl &im = *impl;
     std::unique_lock<std::mutex> lk(im.mtx);
     im.cv.wait(lk, [&] {
-        return im.stopped || im.completed + im.failedStreams >= n;
+        return im.stopped || im.settled >= n;
     });
 }
 
@@ -1592,6 +1574,7 @@ Server::snapshot() const
         s.name = kv.first;
         s.streams = kv.second.streams;
         s.alarms = kv.second.alarms;
+        s.alarmDigest = kv.second.alarmDigest;
         s.det = kv.second.det;
         s.tim = kv.second.tim;
         s.fault = kv.second.fault;
@@ -1602,8 +1585,7 @@ Server::snapshot() const
         s.reg.add(s.reg.counter(n::kTenantBytes), kv.second.bytes);
         s.reg.add(s.reg.counter(n::kTenantBackpressureStalls),
                   kv.second.stalls);
-        s.reg.add(s.reg.counter(n::kTenantAlarms),
-                  kv.second.alarms.size());
+        s.reg.add(s.reg.counter(n::kTenantAlarms), kv.second.alarms);
         out.push_back(std::move(s));
     }
     return out; // std::map iteration is already name-sorted

@@ -7,14 +7,16 @@
  *
  * One Server owns its listeners (AF_UNIX and/or TCP, both sharing
  * one poll loop) and detects recorded trace streams AT INGEST, as
- * the bytes arrive, for many concurrent clients. It hosts a
- * MULTI-PROGRAM registry: N compiled modules keyed by FNV-1a content
- * hash; Hello v2 routes each stream to its module, unknown hashes
- * are rejected with a typed Error (code unknown_module). Streams
- * that declare a resume token get periodic ChunkAck watermarks and
- * may reconnect after a drop: the server parks the stream for a
- * grace period, dedupes re-sent bytes by absolute trace offset, and
- * the final Result stays bit-identical to an uninterrupted stream.
+ * the bytes arrive, for many concurrent clients. It is the one way
+ * to serve: the ipds_serve daemon, the benches and embedders all
+ * drive it directly. It hosts a MULTI-PROGRAM registry: N compiled
+ * modules keyed by FNV-1a content hash; the Hello2 handshake routes
+ * each stream to its module, unknown hashes are rejected with a
+ * typed Error (code unknown_module). Streams that declare a resume
+ * token get periodic ChunkAck watermarks and may reconnect after a
+ * drop: the server parks the stream for a grace period, dedupes
+ * re-sent bytes by absolute trace offset, and the final Result stays
+ * bit-identical to an uninterrupted stream.
  * Architecture (DESIGN.md "Detection service"):
  *
  *   clients ──► ingest thread ──► per-stream actor tasks ──► tenants
@@ -105,21 +107,32 @@ struct ServerConfig
     unsigned shutdownDrainRounds = 100;
 };
 
+/** FNV-1a offset basis: the alarmDigest() of an empty alarm list. */
+inline constexpr uint64_t kAlarmDigestSeed = 0xcbf29ce484222325ull;
+
+/**
+ * FNV-1a digest of an alarm list (order-sensitive, like the list).
+ * Seeding it with an earlier digest continues that digest:
+ * alarmDigest(b, alarmDigest(a)) == alarmDigest(a followed by b).
+ */
+uint64_t alarmDigest(const std::vector<Alarm> &alarms,
+                     uint64_t h = kAlarmDigestSeed);
+
 /** One tenant's aggregate, merged over its completed streams. */
 struct TenantSnapshot
 {
     std::string name;
     uint64_t streams = 0;
-    std::vector<Alarm> alarms; ///< stream order, shard order within
+    /** Alarms over every completed stream, and their alarmDigest()
+     *  with streams in completion order (shard order within one). */
+    uint64_t alarms = 0;
+    uint64_t alarmDigest = kAlarmDigestSeed;
     DetectorStats det;
     TimingStats tim;
     FaultStats fault;
     /** Replay-shaped metrics + ipds.tenant.* transport meters. */
     obs::MetricsRegistry reg;
 };
-
-/** FNV-1a digest of an alarm list (order-sensitive, like the list). */
-uint64_t alarmDigest(const std::vector<Alarm> &alarms);
 
 class Server
 {
@@ -135,10 +148,10 @@ class Server
 
     /**
      * Add @p prog to the module registry, keyed by its FNV-1a content
-     * hash (replay::moduleContentHash). Hello v2 streams route to the
-     * module matching their hash; v1 Hello streams get the first
-     * registered module. Must be called before start(); @p prog must
-     * outlive the server. Re-registering the same hash is a no-op.
+     * hash (replay::moduleContentHash). Each Hello2 routes its stream
+     * to the module matching its hash. Must be called before start();
+     * @p prog must outlive the server. Re-registering the same hash is
+     * a no-op.
      */
     void registerModule(const CompiledProgram &prog);
 
@@ -165,6 +178,11 @@ class Server
     /** requestStop() + join the ingest thread. Idempotent. */
     void stopAndJoin();
 
+    /**
+     * Streams finished since start(). A stream is counted (and merged
+     * into snapshot()) before its Result/Error frame is sent, so a
+     * client holding its verdict always sees itself counted.
+     */
     uint64_t streamsCompleted() const;
     uint64_t streamsFailed() const;
 

@@ -36,7 +36,7 @@ FrameDecoder::next(Frame &out)
     if (replay::getU32(h) != kFrameMagic)
         return poisoned = DecodeStatus::BadMagic;
     uint8_t type = h[4];
-    if (type < static_cast<uint8_t>(FrameType::Hello) ||
+    if (type < static_cast<uint8_t>(FrameType::TraceData) ||
         type > static_cast<uint8_t>(FrameType::ChunkAck))
         return poisoned = DecodeStatus::BadType;
     uint32_t len = replay::getU32(h + 8);

@@ -21,10 +21,9 @@
  *   u32 payloadCrc (crc32 of the payload bytes)
  *   u8  payload[payloadLen]
  *
- * Client->server: Hello (payload = tenant name), Hello2 (versioned
- * header: tenant + module hash + resume token, layout below),
- * TraceData (payload = raw trace bytes, any split), StreamEnd
- * (empty), StatsReq (empty).
+ * Client->server: Hello2 (the one handshake: tenant + module hash +
+ * resume token, layout below), TraceData (payload = raw trace bytes,
+ * any split), StreamEnd (empty), StatsReq (empty).
  * Server->client: Result (text report), Error (text diagnostic —
  * first line "code <slug>" carries the typed error), Stats (the
  * /statsz text), ChunkAck (resume watermark: the absolute trace byte
@@ -70,9 +69,12 @@ inline constexpr uint32_t kFrameMagic = 0x31465049u; ///< "IPF1" LE
 inline constexpr size_t kFrameHeaderBytes = 16;
 inline constexpr size_t kDefaultMaxFrameBytes = 1u << 20;
 
+/**
+ * Frame types. Type 1 was the v1 Hello (tenant name only); it is
+ * retired and never reused, so the decoder rejects it as BadType.
+ */
 enum class FrameType : uint8_t
 {
-    Hello = 1,     ///< client: tenant name (UTF-8, 1..256 bytes)
     TraceData = 2, ///< client: raw trace bytes
     StreamEnd = 3, ///< client: stream complete, report back
     Result = 4,    ///< server: per-stream detection report (text)
@@ -91,7 +93,7 @@ enum class FrameType : uint8_t
 enum class ErrorCode : uint8_t
 {
     None = 0,
-    Protocol,      ///< framing misuse (duplicate Hello, bad order…)
+    Protocol,      ///< framing misuse (duplicate Hello2, bad order…)
     Transport,     ///< corrupt/oversized frame, truncation, shutdown
     Trace,         ///< trace payload failed decode/detection
     UnknownModule, ///< Hello2 module hash not in the registry
@@ -139,7 +141,7 @@ bool decodeChunkAck(const uint8_t *p, size_t n, uint64_t &sealedBytes,
 /** A decoded frame (payload is a view into the decoder's buffer). */
 struct Frame
 {
-    FrameType type = FrameType::Hello;
+    FrameType type = FrameType::TraceData;
     const uint8_t *payload = nullptr;
     uint32_t payloadLen = 0;
 };
@@ -191,7 +193,7 @@ void appendFrame(std::vector<uint8_t> &out, FrameType type,
 std::vector<uint8_t> encodeFrame(FrameType type, const uint8_t *payload,
                                  size_t payloadLen);
 
-/** Encode a text frame (Hello / Result / Error / Stats). */
+/** Encode a text frame (Result / Error / Stats). */
 std::vector<uint8_t> encodeTextFrame(FrameType type,
                                      const std::string &text);
 

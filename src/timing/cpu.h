@@ -129,7 +129,11 @@ class CpuModel final : public ExecObserver
      */
     RequestRing &requestRing() { return reqRing; }
 
-    /** Compatibility sink forwarding into the ring (indirect call). */
+    /**
+     * A plain sink forwarding into the ring, for ReferenceDetector
+     * (the oracle keeps its std::function sink); Detector writes the
+     * ring directly.
+     */
     std::function<void(const IpdsRequest &)> requestSink();
 
     /**

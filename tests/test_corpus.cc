@@ -26,6 +26,7 @@
 #include "gen/corpus.h"
 #include "gen/gen.h"
 #include "obs/session.h"
+#include "replay/format.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "support/diag.h"
@@ -225,7 +226,7 @@ TEST(Corpus, ServedStreamMatchesOfflineReplay)
         srv.start();
         serve::Client c;
         connectRetry(c, cfg.socketPath);
-        c.hello("corpus");
+        c.helloV2("corpus", replay::moduleContentHash(prog.mod));
         c.sendTraceFile(path);
         serve::StreamResult r = c.end();
         srv.stopAndJoin();

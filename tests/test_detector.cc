@@ -186,15 +186,15 @@ void main() {
     if (x < 5) { leaf(); }
 }
 )", "t");
-    std::vector<IpdsRequest> log;
+    RequestRing ring; // no overflow sink: grows, drained in order
     Detector det(p);
-    det.setRequestSink([&](const IpdsRequest &rq) {
-        log.push_back(rq);
-    });
+    det.setRequestRing(&ring);
     Vm vm(p.mod);
     vm.setInputs({"1"});
     vm.addObserver(&det);
     vm.run();
+    std::vector<IpdsRequest> log;
+    ring.drain([&](const IpdsRequest &rq) { log.push_back(rq); });
 
     ASSERT_FALSE(log.empty());
     // First event: main's frame push carrying its table bits.

@@ -2,8 +2,8 @@
  * @file
  * Trace capture & replay suite (ctest label `replay`).
  *
- * The standing contract under test: a Session run recorded with
- * captureTo() and replayed with replayFrom() reproduces alarms,
+ * The standing contract under test: a Session run recorded with a
+ * CapturePlan and replayed with a ReplayPlan reproduces alarms,
  * DetectorStats, TimingStats, FaultStats and the shared metrics
  * BIT-IDENTICALLY, with no VM in the loop; captures are byte-identical
  * across VM engines and delivery modes; sharded replay is
@@ -507,55 +507,44 @@ expectBuildFatal(Session::Builder b, const char *what)
 
 } // namespace
 
-// The pre-plan setters remain as deprecated shims; they must still
-// compile, behave identically, and hit the same build()-time guards.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ReplayBuilder, IncompatibleRecipesAreRejected)
-{
-    CompiledProgram prog =
-        compileAndAnalyze(kLoopProgram, "replay_loop");
-    expectBuildFatal(Session::builder()
-                         .program(prog)
-                         .captureTo("a.trc")
-                         .replayFrom("b.trc"),
-                     "mutually exclusive");
-    expectBuildFatal(Session::builder()
-                         .program(prog)
-                         .replayFrom("b.trc")
-                         .faultPlan(FaultPlan::fromSeed(3)),
-                     "faultPlan");
-    TamperSpec spec;
-    expectBuildFatal(Session::builder().program(prog).replayFrom(
-                         "b.trc").tamper(spec),
-                     "tamper");
-}
+// Recipes that used to be rejected at build() are now impossible to
+// write: each concept below names one spelling, and the static_asserts
+// keep it out of the API.
+template <typename P>
+concept HasTamper = requires(P p, TamperSpec t) { p.tamper(t); };
+template <typename P>
+concept HasAddTamper = requires(P p, TamperSpec t) { p.addTamper(t); };
+template <typename P>
+concept HasFaults = requires(P p, FaultPlan f) { p.faults(f); };
+template <typename P>
+concept HasObserve = requires(P p, ExecObserver *o) { p.observe(o); };
+template <typename P>
+concept HasRecordTrace = requires(P p) { p.recordTrace(true); };
+template <typename B>
+concept HasFaultPlan = requires(B b, FaultPlan f) { b.faultPlan(f); };
+template <typename B>
+concept HasCaptureTo = requires(B b) { b.captureTo("a.trc"); };
+template <typename B>
+concept HasReplayFrom = requires(B b) { b.replayFrom("b.trc"); };
 
-TEST(ReplayBuilder, DeprecatedShimsStillCaptureAndReplay)
-{
-    // The one retained exercise of the old spelling end to end: a
-    // shim-built capture must stay bit-identical to a plan-built
-    // replay (and vice versa), so migration is purely mechanical.
-    CompiledProgram prog =
-        compileAndAnalyze(kLoopProgram, "replay_loop");
-    std::string path = tmpTracePath("shim");
-    Session live = Session::builder()
-                       .program(prog)
-                       .inputs(kLoopInputs)
-                       .sessions(2)
-                       .captureTo(path)
-                       .build();
-    live.run();
-    Session rep = Session::builder()
-                      .program(prog)
-                      .plan(ReplayPlan(path))
-                      .build();
-    rep.run();
-    EXPECT_TRUE(rep.detectorStats() == live.detectorStats());
-    EXPECT_TRUE(sameAlarms(rep.alarms(), live.alarms()));
-    std::remove(path.c_str());
-}
-#pragma GCC diagnostic pop
+// A replay has no VM: the tamper, the faults and the observers of the
+// recorded run are already in the trace.
+static_assert(!HasTamper<ReplayPlan> && !HasAddTamper<ReplayPlan> &&
+              !HasFaults<ReplayPlan> && !HasObserve<ReplayPlan>);
+// A capture takes its VM knobs from the ExecPlan it nests, nowhere else.
+static_assert(!HasTamper<CapturePlan> && !HasFaults<CapturePlan> &&
+              !HasObserve<CapturePlan>);
+static_assert(HasTamper<ExecPlan> && HasAddTamper<ExecPlan> &&
+              HasFaults<ExecPlan> && HasObserve<ExecPlan>);
+// One trace rule: recorded for one session, not for many.
+static_assert(!HasRecordTrace<ExecPlan> &&
+              !HasRecordTrace<Session::Builder>);
+// The Builder configures a run's plan only through plan().
+static_assert(!HasTamper<Session::Builder> &&
+              !HasFaultPlan<Session::Builder> &&
+              !HasObserve<Session::Builder> &&
+              !HasCaptureTo<Session::Builder> &&
+              !HasReplayFrom<Session::Builder>);
 
 TEST(ReplayBuilder, MixedPlansAreRejected)
 {
@@ -569,7 +558,7 @@ TEST(ReplayBuilder, MixedPlansAreRejected)
     expectBuildFatal(Session::builder()
                          .program(prog)
                          .plan(ExecPlan())
-                         .plan(ServePlan("s.sock")),
+                         .plan(CapturePlan("a.trc")),
                      "mutually exclusive");
 }
 

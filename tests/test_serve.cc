@@ -124,6 +124,41 @@ connectRetry(serve::Client &c, const std::string &sock)
     }
 }
 
+/**
+ * Open a stream that fails at once when its connection drops: a Hello2
+ * whose resume token is 0, the wire's "no resume" value. helloV2()
+ * always declares a token, and the server parks a dropped resumable
+ * stream for the resume grace period instead.
+ */
+void
+helloNoResume(serve::Client &c, const std::string &tenant,
+              const CompiledProgram &prog)
+{
+    serve::wire::HelloV2 h;
+    h.tenant = tenant;
+    h.moduleHash = replay::moduleContentHash(prog.mod);
+    std::vector<uint8_t> p = serve::wire::encodeHello2(h);
+    c.sendRaw(serve::wire::encodeFrame(serve::wire::FrameType::Hello2,
+                                       p.data(), p.size()));
+}
+
+/** Value of counter @p name on a /statsz page (0 when absent). */
+uint64_t
+statszCounter(const std::string &statsz, const std::string &name)
+{
+    std::istringstream in(statsz);
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream ls(line);
+        std::string k;
+        uint64_t v = 0;
+        ls >> k >> v;
+        if (k == name)
+            return v;
+    }
+    return 0;
+}
+
 /** Metric lines of a text blob, minus the wall-clock gauge. */
 std::string
 metricLines(const std::string &text)
@@ -317,7 +352,7 @@ TEST(Wire, RejectStatusesAreSticky)
         EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::BadMagic);
         // Sticky: even appending a valid frame cannot revive it.
         std::vector<uint8_t> ok = serve::wire::encodeTextFrame(
-            serve::wire::FrameType::Hello, "t");
+            serve::wire::FrameType::Result, "t");
         dec.append(ok.data(), ok.size());
         EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::BadMagic);
     }
@@ -332,7 +367,7 @@ TEST(Wire, RejectStatusesAreSticky)
     {
         serve::wire::FrameDecoder dec;
         std::vector<uint8_t> enc = serve::wire::encodeTextFrame(
-            serve::wire::FrameType::Hello, "tenant");
+            serve::wire::FrameType::Result, "tenant");
         enc[serve::wire::kFrameHeaderBytes + 1] ^= 0x80;
         dec.append(enc.data(), enc.size());
         EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::CrcMismatch);
@@ -340,7 +375,7 @@ TEST(Wire, RejectStatusesAreSticky)
     {
         serve::wire::FrameDecoder dec;
         std::vector<uint8_t> enc = serve::wire::encodeTextFrame(
-            serve::wire::FrameType::Hello, "t");
+            serve::wire::FrameType::Result, "t");
         enc[4] = 0x7f; // unknown frame type
         dec.append(enc.data(), enc.size());
         EXPECT_EQ(dec.next(f), serve::wire::DecodeStatus::BadType);
@@ -462,7 +497,7 @@ TEST(Service, StreamDetectionMatchesOfflineReplayBitForBit)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("tenant-a");
+    c.helloV2("tenant-a", replay::moduleContentHash(prog.mod));
     // Tiny frames: the trace header itself spans several frames, so
     // ingest exercises the NeedMore path on every boundary.
     c.sendTraceFile(path, 64);
@@ -480,8 +515,7 @@ TEST(Service, StreamDetectionMatchesOfflineReplayBitForBit)
     auto snap = srv.snapshot();
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0].name, "tenant-a");
-    EXPECT_EQ(serve::alarmDigest(snap[0].alarms),
-              serve::alarmDigest(off.alarms()));
+    EXPECT_EQ(snap[0].alarmDigest, serve::alarmDigest(off.alarms()));
     EXPECT_TRUE(snap[0].det == off.detectorStats());
     std::remove(path.c_str());
 }
@@ -503,7 +537,7 @@ TEST(Service, TimingTraceStreamsBitIdentically)
     srv.start();
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    c.helloV2("t", replay::moduleContentHash(prog.mod));
     c.sendTraceFile(path);
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -546,7 +580,7 @@ TEST(Service, FourConcurrentStreamsTwoTenants)
     auto stream = [&](const char *tenant, const std::string &file) {
         serve::Client c;
         connectRetry(c, cfg.socketPath);
-        c.hello(tenant);
+        c.helloV2(tenant, replay::moduleContentHash(prog.mod));
         c.sendTraceFile(file, 128);
         serve::StreamResult r = c.end();
         if (r.ok)
@@ -574,10 +608,16 @@ TEST(Service, FourConcurrentStreamsTwoTenants)
     ASSERT_EQ(snap.size(), 2u);
     EXPECT_EQ(snap[0].name, "alice");
     EXPECT_EQ(snap[0].streams, 2u);
-    EXPECT_TRUE(snap[0].alarms.empty());
+    EXPECT_EQ(snap[0].alarms, 0u);
     EXPECT_EQ(snap[1].name, "bob");
     EXPECT_EQ(snap[1].streams, 2u);
-    EXPECT_EQ(snap[1].alarms.size(), 2 * offDirty.alarms().size());
+    EXPECT_EQ(snap[1].alarms, 2 * offDirty.alarms().size());
+    // The tenant's running digest equals the digest of its streams'
+    // alarm lists concatenated in completion order.
+    std::vector<Alarm> both = offDirty.alarms();
+    both.insert(both.end(), offDirty.alarms().begin(),
+                offDirty.alarms().end());
+    EXPECT_EQ(snap[1].alarmDigest, serve::alarmDigest(both));
 
     // The /statsz page names both tenants and the transport meters.
     std::string statsz = srv.statszText();
@@ -616,7 +656,8 @@ TEST(Service, DestroyWhileStreamsStillDecoding)
                     try {
                         serve::Client c;
                         connectRetry(c, cfg.socketPath);
-                        c.hello("t" + std::to_string(i));
+                        helloNoResume(c, "t" + std::to_string(i),
+                                      prog);
                         c.sendTraceBytes(bytes.data(), bytes.size(),
                                          64);
                         c.end(); // server may stop mid-stream
@@ -654,8 +695,8 @@ TEST(Service, InterleavedTenantsOnTheSameWireStaySeparate)
     serve::Client a, b;
     connectRetry(a, cfg.socketPath);
     connectRetry(b, cfg.socketPath);
-    a.hello("alice");
-    b.hello("bob");
+    a.helloV2("alice", replay::moduleContentHash(prog.mod));
+    b.helloV2("bob", replay::moduleContentHash(prog.mod));
     size_t offA = 0, offB = 0;
     const size_t step = 48;
     while (offA < cleanBytes.size() || offB < dirtyBytes.size()) {
@@ -696,7 +737,7 @@ TEST(Service, PartialFrameAtDropFailsTheStreamAsTruncation)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    helloNoResume(c, "t", prog);
     // A full TraceData frame, then HALF of another: drop mid-frame.
     std::vector<uint8_t> wireBytes;
     serve::wire::appendFrame(wireBytes,
@@ -731,7 +772,7 @@ TEST(Service, OversizedFrameIsRejectedBeforeBuffering)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    c.helloV2("t", replay::moduleContentHash(prog.mod));
     std::vector<uint8_t> big(4096, 0xab);
     c.sendRaw(serve::wire::encodeFrame(
         serve::wire::FrameType::TraceData, big.data(), big.size()));
@@ -740,18 +781,9 @@ TEST(Service, OversizedFrameIsRejectedBeforeBuffering)
 
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(srv.streamsFailed(), 1u);
-    std::istringstream in(srv.statszText());
-    std::string line;
-    uint64_t oversized = 0;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string name;
-        uint64_t v = 0;
-        ls >> name >> v;
-        if (name == obs::names::kServeOversizedFrames)
-            oversized = v;
-    }
-    EXPECT_EQ(oversized, 1u);
+    EXPECT_EQ(statszCounter(srv.statszText(),
+                            obs::names::kServeOversizedFrames),
+              1u);
 }
 
 TEST(Service, FrameCrcMismatchRejectsTheStream)
@@ -768,7 +800,7 @@ TEST(Service, FrameCrcMismatchRejectsTheStream)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    c.helloV2("t", replay::moduleContentHash(prog.mod));
     std::vector<uint8_t> frame = serve::wire::encodeFrame(
         serve::wire::FrameType::TraceData, bytes.data(), bytes.size());
     frame[serve::wire::kFrameHeaderBytes + 20] ^= 0x04;
@@ -802,7 +834,7 @@ TEST(Service, ChunkCrcMismatchInsideValidFramesRejectsTheStream)
     srv.start();
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    c.helloV2("t", replay::moduleContentHash(prog.mod));
     c.sendTraceBytes(bytes.data(), bytes.size());
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -830,7 +862,7 @@ TEST(Service, TruncatedTraceAtCleanFrameBoundaryIsTruncation)
     srv.start();
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    helloNoResume(c, "t", prog);
     c.sendTraceBytes(bytes.data(), bytes.size());
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -860,7 +892,7 @@ TEST(Service, ForeignModuleTraceIsRejected)
     srv.start();
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    c.helloV2("t", replay::moduleContentHash(prog.mod));
     c.sendTraceFile(path);
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -887,7 +919,7 @@ TEST(Service, SlowClientIsPausedCountedAndNeverDeadlocked)
 
     serve::Client c;
     connectRetry(c, cfg.socketPath);
-    c.hello("t");
+    c.helloV2("t", replay::moduleContentHash(prog.mod));
     c.sendTraceBytes(bytes.data(), bytes.size(), 64);
     serve::StreamResult r = c.end();
     srv.stopAndJoin();
@@ -897,123 +929,109 @@ TEST(Service, SlowClientIsPausedCountedAndNeverDeadlocked)
     ASSERT_TRUE(r.ok) << r.text;
     EXPECT_EQ(r.sessions, 40u);
     std::string statsz = srv.statszText();
-    std::istringstream in(statsz);
-    std::string line;
-    uint64_t stalls = 0, resumes = 0;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string name;
-        uint64_t v = 0;
-        ls >> name >> v;
-        if (name == obs::names::kServeBackpressureStalls)
-            stalls = v;
-        if (name == obs::names::kServeResumes)
-            resumes = v;
-    }
+    uint64_t stalls =
+        statszCounter(statsz, obs::names::kServeBackpressureStalls);
+    uint64_t resumes = statszCounter(statsz, obs::names::kServeResumes);
     EXPECT_GT(stalls, 0u) << statsz;
     EXPECT_EQ(stalls, resumes) << statsz;
 }
 
-// ------------------------------------------------- Session facade
-
-TEST(Service, ServePlanAggregatesTenantsLikeOfflineReplay)
+TEST(Service, RetiredHelloTypeIsATransportErrorAndIsolated)
 {
+    // Frame type 1 was the v1 Hello. It is retired, not reused: the
+    // decoder rejects it as a bad frame, the client gets a typed
+    // transport Error, and another tenant's concurrent stream still
+    // lands bit-identically to offline replay.
     CompiledProgram prog = compileAndAnalyze(kLoopProgram, "svc_loop");
     std::string dirty =
-        capture(prog, "plan_dirty", 2, false, /*tamper=*/true);
+        capture(prog, "retired", 2, false, /*tamper=*/true);
     Session off = Session::builder()
                       .program(prog)
                       .plan(ReplayPlan(dirty))
                       .build();
     off.run();
+    ASSERT_TRUE(off.alarmed());
 
-    std::string sock = tmpPath("plan.sock");
-    Session srvSession = Session::builder()
-                             .program(prog)
-                             .threads(2)
-                             .plan(ServePlan(sock)
-                                       .stopAfterStreams(2))
-                             .build();
-    std::thread t([&] { srvSession.run(); });
+    serve::ServerConfig cfg;
+    cfg.socketPath = tmpPath("retired.sock");
+    cfg.threads = 2;
+    serve::Server srv(prog, cfg);
+    srv.start();
 
-    // A client-side throw must still join the server thread — an
-    // exception unwinding past a joinable std::thread aborts.
+    serve::StreamResult good;
+    std::thread alice([&] {
+        serve::Client c;
+        connectRetry(c, cfg.socketPath);
+        c.helloV2("alice", replay::moduleContentHash(prog.mod));
+        c.sendTraceFile(dirty, 64);
+        good = c.end();
+    });
+    serve::StreamResult bad;
     try {
-        for (const char *tenant : {"a", "b"}) {
-            serve::Client c;
-            connectRetry(c, sock);
-            c.hello(tenant);
-            c.sendTraceFile(dirty);
-            serve::StreamResult r = c.end();
-            EXPECT_TRUE(r.ok) << r.text;
-        }
+        serve::Client c;
+        connectRetry(c, cfg.socketPath);
+        c.sendRaw(serve::wire::encodeTextFrame(
+            static_cast<serve::wire::FrameType>(1), "mallory"));
+        bad = c.end();
     } catch (...) {
-        srvSession.stopServing();
-        t.join();
+        alice.join();
         throw;
     }
-    t.join();
+    alice.join();
+    srv.stopAndJoin();
 
-    // Two tenants, one alarmed stream each: the session aggregate is
-    // the offline result twice over.
-    EXPECT_EQ(srvSession.alarms().size(), 2 * off.alarms().size());
-    EXPECT_EQ(srvSession.detectorStats().branchesSeen,
-              2 * off.detectorStats().branchesSeen);
-    EXPECT_NE(srvSession.serveStatsz().find("# tenant a"),
-              std::string::npos);
-    EXPECT_NE(srvSession.serveStatsz().find("# tenant b"),
-              std::string::npos);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.errorCode, "transport") << bad.text;
+    EXPECT_EQ(statszCounter(srv.statszText(),
+                            obs::names::kServeBadFrames),
+              1u);
+    ASSERT_TRUE(good.ok) << good.text;
+    EXPECT_EQ(good.alarmDigest, serve::alarmDigest(off.alarms()));
+    // The rejected connection never opened a stream or a tenant.
+    EXPECT_EQ(srv.streamsCompleted(), 1u);
+    EXPECT_EQ(srv.streamsFailed(), 0u);
+    auto snap = srv.snapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].name, "alice");
     std::remove(dirty.c_str());
 }
 
-TEST(Service, StopServingUnblocksAnOpenEndedServePlan)
+// ------------------------------------------------- shutdown
+
+TEST(Service, RequestStopUnblocksAnOpenEndedWait)
 {
+    // ipds_serve's signal handler stops the server from another
+    // thread while main() waits on an open-ended stream count.
     CompiledProgram prog = compileAndAnalyze(kLoopProgram, "svc_loop");
     std::string path = capture(prog, "stop", 1, false);
-    std::string sock = tmpPath("stop.sock");
-    Session srvSession = Session::builder()
-                             .program(prog)
-                             .plan(ServePlan(sock)) // open-ended
-                             .build();
-    std::thread t([&] { srvSession.run(); });
+    serve::ServerConfig cfg;
+    cfg.socketPath = tmpPath("stop.sock");
+    serve::Server srv(prog, cfg);
+    srv.start();
 
+    std::atomic<bool> returned{false};
+    std::thread waiter([&] {
+        srv.waitForStreams(UINT64_MAX);
+        returned = true;
+    });
     try {
         serve::Client c;
-        connectRetry(c, sock);
-        c.hello("t");
+        connectRetry(c, cfg.socketPath);
+        c.helloV2("t", replay::moduleContentHash(prog.mod));
         c.sendTraceFile(path);
         serve::StreamResult r = c.end();
         EXPECT_TRUE(r.ok) << r.text;
-        c.close();
     } catch (...) {
-        srvSession.stopServing();
-        t.join();
+        srv.requestStop();
+        waiter.join();
         throw;
     }
+    EXPECT_FALSE(returned.load()); // one stream does not satisfy it
 
-    srvSession.stopServing();
-    t.join();
-    EXPECT_EQ(srvSession.detectorStats().branchesSeen > 0, true);
+    srv.requestStop();
+    waiter.join();
+    EXPECT_TRUE(returned.load());
+    srv.stopAndJoin();
+    EXPECT_EQ(srv.streamsCompleted(), 1u);
     std::remove(path.c_str());
-}
-
-TEST(Service, ServePlanRejectsVmOnlyKnobs)
-{
-    CompiledProgram prog = compileAndAnalyze(kLoopProgram, "svc_loop");
-    TamperSpec spec;
-    try {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-        Session::builder()
-            .program(prog)
-            .plan(ServePlan("x.sock"))
-            .tamper(spec)
-            .build();
-#pragma GCC diagnostic pop
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("ServePlan"),
-                  std::string::npos)
-            << e.what();
-    }
 }

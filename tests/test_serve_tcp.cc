@@ -262,8 +262,7 @@ TEST(TcpService, KilledAndResumedStreamIsBitIdenticalToUninterrupted)
     ASSERT_EQ(snap.size(), 2u); // name-sorted: bumpy, smooth
     EXPECT_EQ(snap[0].name, "bumpy");
     EXPECT_TRUE(snap[0].det == snap[1].det);
-    EXPECT_EQ(serve::alarmDigest(snap[0].alarms),
-              serve::alarmDigest(snap[1].alarms));
+    EXPECT_EQ(snap[0].alarmDigest, snap[1].alarmDigest);
 
     std::string statsz = srv.statszText();
     EXPECT_GE(counterOf(statsz, obs::names::kServeReconnects), 3u)
@@ -363,31 +362,21 @@ TEST(TcpService, TwoModulesTwoTenantsOneServerRouteByHash)
     b.helloV2("bob", replay::readTraceHeader(gateTrc).moduleHash);
     b.sendTraceFile(gateTrc, 128);
     serve::StreamResult rbob = b.end();
-
-    // v1 Hello still works and routes to the FIRST registered module.
-    serve::Client legacy;
-    legacy.connectTcp("127.0.0.1", srv.boundTcpPort());
-    legacy.hello("carol");
-    legacy.sendTraceFile(loopTrc);
-    serve::StreamResult rc = legacy.end();
     srv.stopAndJoin();
 
     ASSERT_TRUE(ra.ok) << ra.text;
     ASSERT_TRUE(rbob.ok) << rbob.text;
-    ASSERT_TRUE(rc.ok) << rc.text;
     EXPECT_EQ(ra.alarmDigest, serve::alarmDigest(offLoop.alarms()));
     EXPECT_EQ(metricLines(ra.text), metricLines(offLoop.metricsText()));
     EXPECT_EQ(rbob.alarms, 0u);
     EXPECT_EQ(rbob.alarmDigest, serve::alarmDigest(offGate.alarms()));
     EXPECT_EQ(metricLines(rbob.text),
               metricLines(offGate.metricsText()));
-    EXPECT_EQ(rc.alarmDigest, ra.alarmDigest);
 
     auto snap = srv.snapshot();
-    ASSERT_EQ(snap.size(), 3u);
+    ASSERT_EQ(snap.size(), 2u);
     EXPECT_EQ(snap[0].name, "alice");
     EXPECT_EQ(snap[1].name, "bob");
-    EXPECT_EQ(snap[2].name, "carol");
     std::remove(loopTrc.c_str());
     std::remove(gateTrc.c_str());
 }
@@ -436,7 +425,7 @@ TEST(TcpService, UnknownModuleHashIsATypedErrorAndIsolated)
     auto snap = srv.snapshot();
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0].name, "good");
-    EXPECT_EQ(serve::alarmDigest(snap[0].alarms), rg.alarmDigest);
+    EXPECT_EQ(snap[0].alarmDigest, rg.alarmDigest);
     std::string statsz = srv.statszText();
     EXPECT_EQ(counterOf(statsz, obs::names::kServeUnknownModule), 1u)
         << statsz;

@@ -205,7 +205,7 @@ runTimed(const CompiledProgram &prog,
         vm.setRecordTrace(false);
         Detector det(prog);
         if (ipds_on) {
-            det.setRequestSink(cpu.requestSink());
+            det.setRequestRing(&cpu.requestRing());
             vm.addObserver(&det);
         }
         vm.addObserver(&cpu);
@@ -274,7 +274,7 @@ TEST(CpuModel, ContextSwitchChargesCycles)
             vm.setInputs(wl.benignInputs);
             vm.setRecordTrace(false);
             Detector det(prog);
-            det.setRequestSink(cpu.requestSink());
+            det.setRequestRing(&cpu.requestRing());
             vm.addObserver(&det);
             vm.addObserver(&cpu);
             vm.run();
