@@ -99,10 +99,13 @@ Session::runShard(uint32_t shard, ShardOut &out,
     const uint32_t begin = shard * opt.sessions / opt.shards;
     const uint32_t end = (shard + 1) * opt.sessions / opt.shards;
 
-    obs::Tracer tracer(opt.traceCategories, opt.traceCapacity);
-    tracer.setShard(static_cast<uint8_t>(shard));
-    obs::Tracer *trc =
-        opt.traceCategories != 0 ? &tracer : nullptr;
+    // Build the tracer, and so its ring, only when a category is on.
+    std::optional<obs::Tracer> tracer;
+    if (opt.traceCategories != 0) {
+        tracer.emplace(opt.traceCategories, opt.traceCapacity);
+        tracer->setShard(static_cast<uint8_t>(shard));
+    }
+    obs::Tracer *trc = tracer ? &*tracer : nullptr;
 
     std::optional<CpuModel> cpu;
     if (opt.useTiming) {
@@ -258,8 +261,10 @@ Session::runShard(uint32_t shard, ShardOut &out,
             out.fault.ringDups = cpu->requestRing().faultDupCount();
         }
     }
-    out.traceDropped = tracer.dropped();
-    out.trace = tracer.events();
+    if (trc) {
+        out.traceDropped = trc->dropped();
+        out.trace = trc->events();
+    }
 
     // Per-shard registry: identical registration order in every shard
     // (and every run), so the shard-order merge below is deterministic

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "support/diag.h"
+#include "timing/config.h"
 
 namespace ipds {
 namespace replay {
@@ -99,6 +100,13 @@ parseHeader(const uint8_t *p, size_t n, TraceMeta &meta,
         for (uint32_t i = 0; i < kTimingConfigWords; ++i)
             words[i] = getU32(p + off + 4 * i);
         meta.timing = unpackTimingConfig(words);
+        // The header CRC stops before this block: check what the
+        // timing model needs of it here, before a CpuModel is built.
+        if (auto bad = checkTimingConfig(meta.timing)) {
+            const std::string msg = "impossible timing block: " + *bad;
+            return parseFail(ParseStatus::Malformed, err, msg.c_str(),
+                             consumed, off);
+        }
         off += 4 * kTimingConfigWords;
     }
     consumed = off;

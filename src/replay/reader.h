@@ -79,7 +79,9 @@ enum class ParseStatus : uint8_t
  * (including the timing block). On any other status @p err (optional)
  * receives a one-line description; NeedMore means the prefix is
  * consistent but incomplete. A header CRC failure reports
- * ChunkCrcMismatch (same retry-vs-reject contract).
+ * ChunkCrcMismatch (same retry-vs-reject contract). A timing block
+ * that checkTimingConfig() rejects is Malformed, with the offending
+ * field in @p err: no CpuModel is ever built from it.
  */
 ParseStatus parseHeader(const uint8_t *p, size_t n, TraceMeta &meta,
                         size_t &consumed, std::string *err);

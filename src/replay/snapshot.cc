@@ -48,6 +48,20 @@ struct Cur
             shift += 7;
         }
     }
+
+    /** An element count: every element takes at least one byte, so a
+     *  count past the bytes left is forged (reject it before any
+     *  reserve()). */
+    uint64_t
+    count(const char *what)
+    {
+        uint64_t v = var();
+        if (v > n - off)
+            fatal("snapshot: %s count %llu exceeds the %zu bytes left "
+                  "(at blob byte %zu)",
+                  what, static_cast<unsigned long long>(v), n - off, off);
+        return v;
+    }
 };
 
 void
@@ -74,13 +88,13 @@ encodeDetector(const DetectorSnapshot &d, std::vector<uint8_t> &out)
 void
 decodeDetector(Cur &c, DetectorSnapshot &d)
 {
-    uint64_t acts = c.var();
+    uint64_t acts = c.count("activation");
     d.activations.clear();
     d.activations.reserve(acts);
     for (uint64_t i = 0; i < acts; ++i) {
         DetectorSnapshot::Activation a;
         a.func = static_cast<FuncId>(c.var());
-        uint64_t slots = c.var();
+        uint64_t slots = c.count("slot");
         a.slots.reserve(slots);
         for (uint64_t s = 0; s < slots; ++s) {
             uint32_t slot = static_cast<uint32_t>(c.var());
@@ -178,13 +192,13 @@ decodeTiming(Cur &c, TimingStats &t, EngineSnapshot &e)
     s.depthClamps = c.var();
     s.accountingClamps = c.var();
     t.engine = s;
-    uint64_t inflight = c.var();
+    uint64_t inflight = c.count("inflight");
     e.inflight.clear();
     e.inflight.reserve(inflight);
     for (uint64_t i = 0; i < inflight; ++i)
         e.inflight.push_back(c.var());
     e.engineFree = c.var();
-    uint64_t frames = c.var();
+    uint64_t frames = c.count("frame");
     e.frames.clear();
     e.frames.reserve(frames);
     for (uint64_t i = 0; i < frames; ++i) {

@@ -26,8 +26,9 @@
  *
  * The blob is embedded in a CRC-guarded chunk, so decode assumes
  * structural integrity was already checked at the chunk level; any
- * overrun or version skew still raises a recoverable FatalError
- * (truncated-snapshot corruption is a tested degradation path).
+ * overrun, version skew or element count past the bytes left still
+ * raises a recoverable FatalError (truncated-snapshot corruption is a
+ * tested degradation path).
  *
  * Versioning: ANY change to this layout bumps kSnapshotVersion; the
  * golden v2 fixture pins the encoding.

@@ -3,7 +3,8 @@
 namespace ipds {
 
 BranchPredictor::BranchPredictor(const TimingConfig &c)
-    : cfg(c),
+    : bhtMask(c.bhtEntries - 1), btbMask(c.btbEntries - 1),
+      histMask((1u << c.historyBits) - 1),
       bht(c.bhtEntries, 0),
       pht(1u << c.historyBits, 1), // weakly not-taken
       btb(c.btbEntries, 0)
@@ -12,16 +13,15 @@ BranchPredictor::BranchPredictor(const TimingConfig &c)
 uint32_t
 BranchPredictor::bhtIndex(uint64_t pc) const
 {
-    return static_cast<uint32_t>((pc >> 2) % cfg.bhtEntries);
+    return static_cast<uint32_t>(pc >> 2) & bhtMask;
 }
 
 uint32_t
 BranchPredictor::phtIndex(uint64_t pc) const
 {
     uint16_t hist = bht[bhtIndex(pc)];
-    uint32_t mask = (1u << cfg.historyBits) - 1;
     // Classic PAg/gshare hybrid: fold the PC into the pattern index.
-    return (hist ^ static_cast<uint32_t>(pc >> 2)) & mask;
+    return (hist ^ static_cast<uint32_t>(pc >> 2)) & histMask;
 }
 
 bool
@@ -39,7 +39,7 @@ BranchPredictor::update(uint64_t pc, bool taken)
 
     // A taken branch whose target is absent from the BTB still costs a
     // fetch redirect even when the direction was guessed right.
-    uint64_t slot = (pc >> 2) % cfg.btbEntries;
+    uint64_t slot = (pc >> 2) & btbMask;
     if (taken) {
         if (btb[slot] != pc) {
             btb[slot] = pc;
@@ -55,7 +55,7 @@ BranchPredictor::update(uint64_t pc, bool taken)
 
     uint16_t &hist = bht[bhtIndex(pc)];
     hist = static_cast<uint16_t>(((hist << 1) | (taken ? 1 : 0)) &
-                                 ((1u << cfg.historyBits) - 1));
+                                 histMask);
 
     if (!correct)
         nMispredict++;

@@ -6,7 +6,8 @@
  * Two-level adaptive branch predictor (Table 1: "Branch predictor:
  * 2 Level"): a per-branch history table feeding a pattern table of
  * 2-bit saturating counters, plus a direct-mapped BTB whose misses on
- * taken branches also cost a redirect.
+ * taken branches also cost a redirect. bhtEntries and btbEntries are
+ * powers of two (checkTimingConfig), so indexing is a mask.
  */
 
 #include <cstdint>
@@ -39,7 +40,9 @@ class BranchPredictor
     uint32_t bhtIndex(uint64_t pc) const;
     uint32_t phtIndex(uint64_t pc) const;
 
-    const TimingConfig &cfg;
+    uint32_t bhtMask;  ///< bhtEntries - 1
+    uint32_t btbMask;  ///< btbEntries - 1
+    uint32_t histMask; ///< (1 << historyBits) - 1
     std::vector<uint16_t> bht; ///< history registers
     std::vector<uint8_t> pht;  ///< 2-bit counters
     std::vector<uint64_t> btb; ///< tag-only BTB

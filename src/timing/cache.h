@@ -5,7 +5,8 @@
  * @file
  * Set-associative cache with true-LRU replacement. Timing only: no
  * data is stored, just tags. Hierarchies are composed by the caller
- * probing the next level on a miss.
+ * probing the next level on a miss. Block size and set count are
+ * powers of two, so a probe splits the address with shifts and a mask.
  */
 
 #include <cstdint>
@@ -46,6 +47,8 @@ class Cache
 
     CacheConfig cfg;
     uint32_t numSets;
+    uint32_t blockShift; ///< log2 blockBytes
+    uint32_t setShift;   ///< log2 numSets
     std::vector<Line> lines; ///< numSets x ways
     uint64_t tick = 0;
     uint64_t nAccess = 0;

@@ -8,6 +8,8 @@
  */
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 namespace ipds {
 
@@ -91,6 +93,36 @@ table1Config()
 {
     return TimingConfig{};
 }
+
+// Upper bounds that checkTimingConfig() enforces. They keep one
+// model's tables at tens of MB at most, whatever config a caller or a
+// trace header supplies.
+
+/** Widths, fetchQueue, ruuSize, lsqSize and requestQueueSize. */
+inline constexpr uint32_t kMaxTimingQueue = 1u << 16;
+/** Lines per cache level; tlbEntries, bhtEntries, btbEntries,
+ *  requestRingCapacity and maxFrameDepth. */
+inline constexpr uint32_t kMaxTimingTable = 1u << 18;
+/** historyBits (the BHT keeps 16-bit history registers). */
+inline constexpr uint32_t kMaxHistoryBits = 16;
+
+/**
+ * What the timing model needs of @p cfg:
+ *
+ *  - every width, queue size and ring size, and batEntriesPerAccess,
+ *    is nonzero;
+ *  - the table geometry is a power of two (cache block size and set
+ *    count, pageBytes, tlbEntries, bhtEntries, btbEntries), and so is
+ *    commitWidth, so the model indexes and converts ticks to cycles
+ *    with shifts and masks;
+ *  - historyBits is at most kMaxHistoryBits;
+ *  - every size is within the bounds above.
+ *
+ * Returns a message naming the first offending field, or nothing when
+ * the config is valid. CpuModel refuses an invalid config, and so does
+ * the trace-header parse (replay::parseHeader).
+ */
+std::optional<std::string> checkTimingConfig(const TimingConfig &cfg);
 
 } // namespace ipds
 

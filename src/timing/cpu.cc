@@ -1,13 +1,46 @@
 #include "timing/cpu.h"
 
+#include <bit>
+
+#include "support/diag.h"
+
 namespace ipds {
 
+namespace {
+
+/** @p cfg, or FatalError naming the field checkTimingConfig rejects. */
+const TimingConfig &
+checked(const TimingConfig &cfg)
+{
+    if (auto bad = checkTimingConfig(cfg))
+        fatal("CpuModel: invalid timing config: %s", bad->c_str());
+    return cfg;
+}
+
+uint32_t
+log2Of(uint32_t pow2)
+{
+    return static_cast<uint32_t>(std::countr_zero(pow2));
+}
+
+} // namespace
+
 CpuModel::CpuModel(const TimingConfig &c)
-    : cfg(c), l1i(cfg.l1i), l1d(cfg.l1d), l2(cfg.l2),
-      // bpred/engine keep references: bind them to our own copy, not
-      // to the caller's (possibly temporary) argument.
+    : cfg(checked(c)), dispatchStep(cfg.commitWidth / cfg.issueWidth),
+      commitShift(log2Of(cfg.commitWidth)),
+      fetchShift(log2Of(cfg.l1i.blockBytes)),
+      pageShift(log2Of(cfg.pageBytes)), tlbMask(cfg.tlbEntries - 1),
+      // First chunk, then the rest of the L1D block (uint32 product).
+      memMissCycles(uint64_t(cfg.memFirstChunk) +
+                    cfg.memInterChunk * (cfg.l1d.blockBytes / 8 > 0
+                                             ? cfg.l1d.blockBytes / 8 - 1
+                                             : 0)),
+      l1i(cfg.l1i), l1d(cfg.l1d), l2(cfg.l2),
+      // The engine keeps a reference: bind it to our own copy, not to
+      // the caller's (possibly temporary) argument.
       bpred(cfg), engine(cfg), tlb(cfg.tlbEntries, ~0ULL),
-      reqRing(cfg.requestRingCapacity)
+      ruuRing(cfg.ruuSize), lsqRing(cfg.lsqSize),
+      fetchRing(cfg.fetchQueue), reqRing(cfg.requestRingCapacity)
 {
     // Ring overflow backpressure: a producer that outruns the
     // commit-point drains hands the oldest chunk straight to the
@@ -34,24 +67,30 @@ CpuModel::setTracer(obs::Tracer *t)
 uint64_t
 CpuModel::srcReady(Vreg v) const
 {
-    if (v == kNoVreg)
+    if (frameDepth >= readyRows.size())
         return 0;
-    auto it = readyAt.find((uint64_t(frameDepth) << 32) | v);
-    return it == readyAt.end() ? 0 : it->second;
+    const std::vector<uint64_t> &row = readyRows[frameDepth];
+    return v < row.size() ? row[v] : 0;
 }
 
 void
 CpuModel::setReady(Vreg v, uint64_t tick)
 {
-    if (v != kNoVreg)
-        readyAt[(uint64_t(frameDepth) << 32) | v] = tick;
+    if (v == kNoVreg)
+        return;
+    if (frameDepth >= readyRows.size())
+        readyRows.resize(frameDepth + 1);
+    std::vector<uint64_t> &row = readyRows[frameDepth];
+    if (v >= row.size())
+        row.resize(v + 1);
+    row[v] = tick;
 }
 
 uint64_t
 CpuModel::tlbAccess(uint64_t addr)
 {
-    uint64_t page = addr / cfg.pageBytes;
-    uint64_t slot = page % cfg.tlbEntries;
+    uint64_t page = addr >> pageShift;
+    uint64_t slot = page & tlbMask;
     if (tlb[slot] == page)
         return 0;
     tlb[slot] = page;
@@ -68,9 +107,7 @@ CpuModel::loadLatency(uint64_t addr)
     lat += cfg.l2.latency;
     if (l2.access(addr))
         return lat;
-    uint32_t chunks =
-        cfg.l1d.blockBytes / 8 > 0 ? cfg.l1d.blockBytes / 8 - 1 : 0;
-    return lat + cfg.memFirstChunk + cfg.memInterChunk * chunks;
+    return lat + memMissCycles;
 }
 
 void
@@ -149,28 +186,28 @@ CpuModel::instCore(const Inst &in, uint64_t mem_addr,
     nInst++;
 
     // ---- dispatch ---------------------------------------------------
-    uint64_t dp = dispatchTick + W / cfg.issueWidth;
+    uint64_t dp = dispatchTick + dispatchStep;
     dp = std::max(dp, redirectTick);
     // RUU occupancy: dispatch at most ruuSize ahead of commit.
-    if (ruuRing.size() >= cfg.ruuSize) {
+    if (ruuRing.full()) {
         dp = std::max(dp, ruuRing.front());
-        ruuRing.pop_front();
+        ruuRing.pop();
     }
     // LSQ occupancy: at most lsqSize memory operations in flight.
-    if (mem_size != 0 && lsqRing.size() >= cfg.lsqSize) {
+    if (mem_size != 0 && lsqRing.full()) {
         dp = std::max(dp, lsqRing.front());
-        lsqRing.pop_front();
+        lsqRing.pop();
     }
     // Fetch queue: the front end buffers at most fetchQueue
     // instructions ahead of dispatch (a long stall drains it; the
     // model charges the refill as a dispatch floor).
-    if (fetchRing.size() >= cfg.fetchQueue) {
+    if (fetchRing.full()) {
         dp = std::max(dp, fetchRing.front() + W);
-        fetchRing.pop_front();
+        fetchRing.pop();
     }
-    fetchRing.push_back(dp);
+    fetchRing.push(dp);
     // Instruction fetch: new block -> L1I probe; miss stalls dispatch.
-    uint64_t block = in.pc / cfg.l1i.blockBytes;
+    uint64_t block = in.pc >> fetchShift;
     if (block != lastFetchBlock) {
         lastFetchBlock = block;
         uint64_t pen = tlbAccess(in.pc);
@@ -239,13 +276,13 @@ CpuModel::instCore(const Inst &in, uint64_t mem_addr,
     // IPDS requests triggered by this instruction enqueue at commit;
     // the detector wrote them into the ring inline, we drain in batch.
     if (cfg.ipdsEnabled && !reqRing.empty()) {
-        uint64_t now = commit / W;
+        uint64_t now = commit >> commitShift;
         bool stalled = false;
         reqRing.drainThrough(drain_seq, [&](const IpdsRequest &rq) {
             uint64_t stall = engine.enqueue(rq, now);
             if (stall) {
                 commit += stall * W;
-                now = commit / W;
+                now = commit >> commitShift;
                 ipdsStalls += stall;
                 stalled = true;
             }
@@ -274,14 +311,10 @@ CpuModel::instCore(const Inst &in, uint64_t mem_addr,
     }
 
     lastCommitTick = commit;
-    ruuRing.push_back(commit);
-    if (ruuRing.size() > cfg.ruuSize)
-        ruuRing.pop_front();
-    if (mem_size != 0) {
-        lsqRing.push_back(commit);
-        if (lsqRing.size() > cfg.lsqSize)
-            lsqRing.pop_front();
-    }
+    // Dispatch freed a slot in each ring this instruction enters.
+    ruuRing.push(commit);
+    if (mem_size != 0)
+        lsqRing.push(commit);
 }
 
 uint64_t

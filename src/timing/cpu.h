@@ -20,16 +20,24 @@
  *
  * Cycles are accounted in integer "ticks" (1 tick = 1/commitWidth
  * cycle) so results are exactly reproducible.
+ *
+ * The scoreboard is flat. Ready ticks live in one row per call depth,
+ * indexed by vreg; the RUU, LSQ and fetch queue are TickFifos sized
+ * once from the config; and the constructor checks the config
+ * (checkTimingConfig) and turns every per-instruction division into a
+ * precomputed quotient, shift or mask. A simulated instruction costs
+ * no hash lookup, no allocation once its row is wide enough, and no
+ * division.
  */
 
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "ipds/detector.h"
 #include "timing/branchpred.h"
 #include "timing/cache.h"
 #include "timing/config.h"
 #include "timing/engine.h"
+#include "timing/tick_fifo.h"
 #include "vm/vm.h"
 
 namespace ipds {
@@ -119,6 +127,8 @@ struct TimingStats
 class CpuModel final : public ExecObserver
 {
   public:
+    /** FatalError naming the field when checkTimingConfig() rejects
+     *  @p cfg. */
     explicit CpuModel(const TimingConfig &cfg);
 
     /**
@@ -169,13 +179,13 @@ class CpuModel final : public ExecObserver
     /** Finalized statistics. */
     TimingStats stats() const;
 
-    /** Direct access to the IPDS engine (trace snapshots capture and
-     *  restore its state; see timing/engine.h EngineSnapshot). */
+    /** Direct access to the IPDS engine (trace snapshots capture its
+     *  state; see timing/engine.h EngineSnapshot). */
     IpdsEngine &ipdsEngine() { return engine; }
     const IpdsEngine &ipdsEngine() const { return engine; }
 
   private:
-    uint64_t curCycle() const { return lastCommitTick / cfg.commitWidth; }
+    uint64_t curCycle() const { return lastCommitTick >> commitShift; }
 
     /**
      * One committed instruction through the scoreboard. @p drain_seq
@@ -185,7 +195,8 @@ class CpuModel final : public ExecObserver
     void instCore(const Inst &in, uint64_t mem_addr, uint32_t mem_size,
                   uint32_t drain_seq);
 
-    /** Ready tick of a source vreg (0 if unknown). */
+    /** Ready tick of a source vreg at the current depth (0 if never
+     *  written; kNoVreg's slot 0 is never written). */
     uint64_t srcReady(Vreg v) const;
     void setReady(Vreg v, uint64_t tick);
 
@@ -194,7 +205,16 @@ class CpuModel final : public ExecObserver
     /** TLB probe; returns penalty cycles. */
     uint64_t tlbAccess(uint64_t addr);
 
-    TimingConfig cfg;
+    TimingConfig cfg; ///< checked before anything below is built
+
+    // Per-instruction constants derived from cfg.
+    uint32_t dispatchStep;  ///< commitWidth / issueWidth
+    uint32_t commitShift;   ///< log2 commitWidth
+    uint32_t fetchShift;    ///< log2 l1i.blockBytes
+    uint32_t pageShift;     ///< log2 pageBytes
+    uint64_t tlbMask;       ///< tlbEntries - 1
+    uint64_t memMissCycles; ///< L2 miss: first chunk + the rest
+
     Cache l1i;
     Cache l1d;
     Cache l2;
@@ -208,10 +228,16 @@ class CpuModel final : public ExecObserver
     uint64_t dispatchTick = 0;
     uint64_t redirectTick = 0;
     uint64_t lastCommitTick = 0;
-    std::deque<uint64_t> ruuRing; ///< commit ticks of in-flight window
-    std::deque<uint64_t> lsqRing; ///< commit ticks of in-flight mem ops
-    std::deque<uint64_t> fetchRing; ///< dispatch ticks (fetch queue)
-    std::unordered_map<uint64_t, uint64_t> readyAt; ///< (depth,vreg)
+    TickFifo ruuRing;   ///< commit ticks of the in-flight window
+    TickFifo lsqRing;   ///< commit ticks of in-flight mem ops
+    TickFifo fetchRing; ///< dispatch ticks (fetch queue)
+    /**
+     * Ready ticks, [call depth][vreg]. A row is not cleared when its
+     * call returns: a later call at the same depth sees the ticks the
+     * earlier one left. Rows (and the depth vector) grow only when a
+     * tick is written past their end.
+     */
+    std::vector<std::vector<uint64_t>> readyRows;
     uint32_t frameDepth = 0;
 
     uint64_t nInst = 0;

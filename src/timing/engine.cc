@@ -3,7 +3,7 @@
 namespace ipds {
 
 IpdsEngine::IpdsEngine(const TimingConfig &c)
-    : cfg(c)
+    : cfg(c), inflight(c.requestQueueSize)
 {}
 
 uint64_t
@@ -96,7 +96,8 @@ IpdsEngine::cost(const IpdsRequest &rq)
 void
 IpdsEngine::captureState(EngineSnapshot &out) const
 {
-    out.inflight.assign(inflight.begin(), inflight.end());
+    out.inflight.clear();
+    inflight.forEach([&](uint64_t t) { out.inflight.push_back(t); });
     out.engineFree = engineFree;
     out.frames.clear();
     out.frames.reserve(frames.size());
@@ -104,19 +105,6 @@ IpdsEngine::captureState(EngineSnapshot &out) const
         out.frames.push_back({fr.bits, fr.spilled});
     out.residentBits = residentBits;
     out.stats = stat;
-}
-
-void
-IpdsEngine::restoreState(const EngineSnapshot &snap)
-{
-    inflight.assign(snap.inflight.begin(), snap.inflight.end());
-    engineFree = snap.engineFree;
-    frames.clear();
-    frames.reserve(snap.frames.size());
-    for (const EngineSnapshot::FrameBits &fr : snap.frames)
-        frames.push_back({fr.bits, fr.spilled});
-    residentBits = snap.residentBits;
-    stat = snap.stats;
 }
 
 uint64_t
@@ -157,17 +145,17 @@ IpdsEngine::enqueue(const IpdsRequest &rq, uint64_t now)
 
     // Retire completed requests.
     while (!inflight.empty() && inflight.front() <= now)
-        inflight.pop_front();
+        inflight.pop();
 
     // Queue-full back-pressure: the CPU waits until the oldest request
     // completes (the only situation where IPDS slows the program).
     uint64_t stall = 0;
-    while (inflight.size() >= cfg.requestQueueSize) {
+    while (inflight.full()) {
         uint64_t freeAt = inflight.front();
         stall += freeAt - now;
         now = freeAt;
         while (!inflight.empty() && inflight.front() <= now)
-            inflight.pop_front();
+            inflight.pop();
     }
     if (stall) {
         stat.queueFullStalls++;
@@ -179,7 +167,7 @@ IpdsEngine::enqueue(const IpdsRequest &rq, uint64_t now)
     uint64_t finish = start + c;
     stat.busyCycles += c;
     engineFree = finish;
-    inflight.push_back(finish);
+    inflight.push(finish);
 
     if (rq.kind == IpdsRequest::Kind::Check) {
         stat.checkLatencySum += finish - now;

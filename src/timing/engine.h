@@ -11,15 +11,19 @@
  *    BAT action lists entry by entry (the "link list" of §6);
  *  - on-chip stack buffers for BSV/BCV/BAT with spill/fill of deep
  *    frames to reserved memory, Itanium-RSE style.
+ *
+ * The queue is a TickFifo of requestQueueSize completion times, sized
+ * once at construction: enqueue() allocates nothing but the table
+ * frames a push request adds.
  */
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "ipds/detector.h"
 #include "obs/trace.h"
 #include "timing/config.h"
+#include "timing/tick_fifo.h"
 
 namespace ipds {
 
@@ -99,8 +103,8 @@ struct EngineStats
  * Portable image of the engine's live state (trace snapshots): the
  * queued completion times, the table-stack frames with their
  * spill bits, and the running counters. TimingConfig is not part of
- * the image — a snapshot only resumes against the same config the
- * trace header carries.
+ * the image. Captures embed it; nothing restores an engine from it
+ * (a timing trace replays from the start of a session).
  */
 struct EngineSnapshot
 {
@@ -155,9 +159,8 @@ class IpdsEngine
     /** Tracked table-stack depth (bounded by cfg.maxFrameDepth). */
     size_t frameDepth() const { return frames.size(); }
 
-    /** Capture/restore the full engine state (trace snapshots). */
+    /** Capture the full engine state (trace snapshots). */
     void captureState(EngineSnapshot &out) const;
-    void restoreState(const EngineSnapshot &snap);
 
   private:
     /** Service cost of one request, including spill/fill effects. */
@@ -188,7 +191,7 @@ class IpdsEngine
     obs::Tracer *trc = nullptr;
 
     /** Completion times of queued requests, oldest first. */
-    std::deque<uint64_t> inflight;
+    TickFifo inflight;
     uint64_t engineFree = 0;
 
     /** On-chip table stack model. */

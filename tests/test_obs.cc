@@ -476,16 +476,21 @@ TEST(Session, DisabledTraceCategoriesYieldZeroEvents)
         compileAndAnalyze(kLoopProgram, "obs_loop");
     // Only alarm events requested; the benign run raises none, so the
     // trace must stay completely empty — the zero-event guarantee for
-    // categories that never fire.
-    Session s = Session::builder()
-                    .program(prog)
-                    .inputs({"7", "1", "2", "3", "4"})
-                    .trace(obs::kCatAlarm)
-                    .build();
-    s.run();
-    EXPECT_FALSE(s.alarmed());
-    EXPECT_EQ(s.traceEvents().size(), 0u);
-    EXPECT_EQ(s.traceDropped(), 0u);
+    // categories that never fire. With no category (the default) no
+    // tracer is built at all, and the trace is just as empty.
+    for (uint32_t cats : {uint32_t(obs::kCatAlarm), 0u}) {
+        Session s = Session::builder()
+                        .program(prog)
+                        .inputs({"7", "1", "2", "3", "4"})
+                        .trace(cats)
+                        .build();
+        s.run();
+        EXPECT_FALSE(s.alarmed());
+        EXPECT_EQ(s.traceEvents().size(), 0u) << cats;
+        EXPECT_EQ(s.traceDropped(), 0u) << cats;
+        const obs::MetricsRegistry &m = s.metrics();
+        EXPECT_EQ(m.value(m.find(names::kSessTraceDropped)), 0u) << cats;
+    }
 }
 
 TEST(Session, TraceIsDeterministicAcrossThreadCounts)

@@ -718,6 +718,82 @@ TEST(ReplayReject, ForeignModuleIsRecoverable)
     }
 }
 
+/** One timing field a header can carry but no CpuModel can run. */
+struct TimingPatch
+{
+    const char *field;
+    void (*apply)(TimingConfig &);
+};
+
+/** Five header patches, each of one word of the timing block. */
+const TimingPatch kImpossibleTiming[] = {
+    {"commitWidth", [](TimingConfig &c) { c.commitWidth = 0; }},
+    {"issueWidth", [](TimingConfig &c) { c.issueWidth = 0; }},
+    {"requestQueueSize",
+     [](TimingConfig &c) { c.requestQueueSize = 0; }},
+    {"l1i.blockBytes", [](TimingConfig &c) { c.l1i.blockBytes = 0; }},
+    {"tlbEntries", [](TimingConfig &c) { c.tlbEntries = 1u << 31; }},
+};
+
+/** @p bytes with its header's timing block rewritten by @p pt. The
+ *  header CRC stops before the block, so nothing needs resealing. */
+std::vector<uint8_t>
+patchTimingBlock(std::vector<uint8_t> bytes, const TimingPatch &pt)
+{
+    uint8_t *block = bytes.data() + replay::kHeaderBytes;
+    uint32_t words[replay::kTimingConfigWords];
+    for (uint32_t i = 0; i < replay::kTimingConfigWords; ++i)
+        words[i] = replay::getU32(block + 4 * i);
+    TimingConfig cfg = replay::unpackTimingConfig(words);
+    pt.apply(cfg);
+    replay::packTimingConfig(cfg, words);
+    for (uint32_t i = 0; i < replay::kTimingConfigWords; ++i)
+        replay::putU32(block + 4 * i, words[i]);
+    return bytes;
+}
+
+TEST(ReplayReject, ImpossibleTimingBlockIsRecoverable)
+{
+    // A timing block that would divide by zero, hang the request
+    // queue, panic the cache or allocate gigabytes must fail the
+    // header parse, naming the field, before a CpuModel exists.
+    const Workload &wl = workloadByName("sendmail");
+    CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
+    std::string path = tmpTracePath("impossible_timing");
+    Session::builder()
+        .program(prog)
+        .inputs(wl.benignInputs)
+        .timing(table1Config())
+        .plan(CapturePlan(path))
+        .build()
+        .run();
+    const std::vector<uint8_t> good = readBytes(path);
+    ASSERT_TRUE(replay::TraceFile::validateBytes(good).ok);
+
+    for (const TimingPatch &pt : kImpossibleTiming) {
+        std::vector<uint8_t> bad = patchTimingBlock(good, pt);
+        ASSERT_NE(bad, good) << pt.field;
+        writeBytes(path, bad);
+        replay::ValidateResult v = replay::TraceFile::validate(path);
+        EXPECT_FALSE(v.ok) << pt.field;
+        EXPECT_NE(v.error.find(pt.field), std::string::npos)
+            << v.error;
+        try {
+            Session::builder()
+                .program(prog)
+                .plan(ReplayPlan(path))
+                .build()
+                .run();
+            ADD_FAILURE() << pt.field << ": expected FatalError";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(pt.field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(path.c_str());
+}
+
 TEST(ReplayReject, CorruptPayloadCannotReachDetectorPanics)
 {
     // A CRC-valid chunk whose records are garbage must fail as a
@@ -1084,6 +1160,67 @@ TEST(ReplaySnapshot, TruncatedOrSkewedBlobIsRecoverable)
         FatalError);
 }
 
+/** LEB128 varint, as the snapshot codec writes it. */
+void
+appendVar(std::vector<uint8_t> &out, uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<uint8_t>(v) | 0x80);
+        v >>= 7;
+    }
+    out.push_back(static_cast<uint8_t>(v));
+}
+
+TEST(ReplaySnapshot, ForgedCountsAreRecoverable)
+{
+    // Every element takes at least one byte, so a count past the
+    // bytes left is forged: it must end in FatalError, not in a
+    // reserve() that throws length_error or bad_alloc.
+    auto detectorBlob = [](bool forgeSlots, uint64_t n) {
+        std::vector<uint8_t> b{replay::kSnapshotVersion,
+                               replay::kSnapSectionDetector};
+        appendVar(b, forgeSlots ? 1 : n); // activations
+        if (forgeSlots) {
+            appendVar(b, 0); // func
+            appendVar(b, n); // slots
+        }
+        b.resize(b.size() + 16, 0);
+        return b;
+    };
+    auto timingBlob = [](bool forgeFrames, uint64_t n) {
+        std::vector<uint8_t> b{replay::kSnapshotVersion,
+                               replay::kSnapSectionTiming};
+        for (int i = 0; i < 14 + 15; i++) // TimingStats, EngineStats
+            appendVar(b, 0);
+        appendVar(b, forgeFrames ? 0 : n); // inflight
+        if (forgeFrames) {
+            appendVar(b, 0); // engineFree
+            appendVar(b, n); // frames
+        }
+        b.resize(b.size() + 16, 0);
+        return b;
+    };
+    for (uint64_t n : {uint64_t(1) << 62, uint64_t(1) << 40}) {
+        const std::pair<const char *, std::vector<uint8_t>> blobs[] = {
+            {"activation", detectorBlob(false, n)},
+            {"slot", detectorBlob(true, n)},
+            {"inflight", timingBlob(false, n)},
+            {"frame", timingBlob(true, n)},
+        };
+        for (const auto &[what, blob] : blobs) {
+            replay::SnapshotData out;
+            try {
+                replay::decodeSnapshot(blob.data(), blob.size(), out);
+                ADD_FAILURE() << what << " count " << n << " decoded";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(what),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(ReplayIndex, FooterAndScanIndexesAgreeFieldForField)
 {
     CompiledProgram prog =
@@ -1360,6 +1497,74 @@ TEST(ReplaySeek, DamagedSnapshotFallsBackToSessionStart)
               nChunks - sessStart);
     EXPECT_EQ(part.detectorStats().branchesSeen * 2,
               full.detectorStats().branchesSeen);
+    std::remove(path.c_str());
+}
+
+TEST(ReplaySeek, ForgedSnapshotCountFallsBackToSessionStart)
+{
+    CompiledProgram prog =
+        compileAndAnalyze(kSnapProgram, "snap_prog");
+    std::string path = tmpTracePath("seek_forged");
+    Session::builder()
+        .program(prog)
+        .inputs({"3"})
+        .sessions(2)
+        .plan(CapturePlan(path).snapshotEvery(1))
+        .build()
+        .run();
+    std::vector<uint8_t> bytes = readBytes(path);
+
+    size_t flagged = SIZE_MAX, nChunks = 0;
+    {
+        replay::TraceFile tf = replay::TraceFile::fromBytes(bytes);
+        const std::vector<replay::ChunkRef> &chunks = tf.chunks();
+        nChunks = chunks.size();
+        for (size_t i = 0; i < chunks.size(); i++)
+            if (chunks[i].session == 1 &&
+                (chunks[i].flags & replay::kChunkHasSnapshot))
+                flagged = i;
+        ASSERT_NE(flagged, SIZE_MAX);
+
+        // Forge the blob's activation count to 2^62 (a 9-byte varint
+        // after the version and section bytes) and re-seal the chunk
+        // CRC: the record still frames, but its count is a lie.
+        const replay::ChunkRef &c = chunks[flagged];
+        replay::TraceReader r(tf.payload(c), c.payloadLen);
+        ASSERT_EQ(r.tag(), replay::Tag::Snapshot);
+        const uint64_t len = r.var();
+        std::vector<uint8_t> forged{replay::kSnapshotVersion,
+                                    replay::kSnapSectionDetector};
+        appendVar(forged, uint64_t(1) << 62);
+        ASSERT_GE(len, forged.size());
+        std::copy(forged.begin(), forged.end(),
+                  bytes.begin() + c.payloadOff + r.offset());
+        replay::putU32(
+            bytes.data() + c.payloadOff - 4,
+            replay::crc32(bytes.data() + c.payloadOff,
+                          c.payloadLen));
+    }
+    writeBytes(path, bytes);
+
+    Session part = Session::builder()
+                       .program(prog)
+                       .plan(ReplayPlan(path).seekChunk(
+                           static_cast<uint64_t>(nChunks - 1)))
+                       .build();
+    part.run();
+    Session sess = Session::builder()
+                       .program(prog)
+                       .plan(ReplayPlan(path).seekSession(1))
+                       .build();
+    sess.run();
+
+    namespace n = obs::names;
+    const obs::MetricsRegistry &mp = part.metrics();
+    const obs::MetricsRegistry &ms = sess.metrics();
+    EXPECT_EQ(mp.value(mp.find(n::kReplaySnapshotsUsed)), 0u);
+    EXPECT_EQ(mp.value(mp.find(n::kReplayChunks)),
+              ms.value(ms.find(n::kReplayChunks)));
+    EXPECT_TRUE(part.detectorStats() == sess.detectorStats());
+    EXPECT_TRUE(sameAlarms(part.alarms(), sess.alarms()));
     std::remove(path.c_str());
 }
 

@@ -996,6 +996,74 @@ TEST(Service, RetiredHelloTypeIsATransportErrorAndIsolated)
     std::remove(dirty.c_str());
 }
 
+TEST(Service, ImpossibleTimingHeaderIsATraceErrorAndIsolated)
+{
+    // commitWidth 0 in a timing header's block (outside the header
+    // CRC) once killed the whole server with SIGFPE. It must fail only
+    // its own stream, with a typed trace error, while another tenant's
+    // concurrent stream lands bit-identically to offline replay.
+    CompiledProgram prog = compileAndAnalyze(kLoopProgram, "svc_loop");
+    std::string timing = capture(prog, "imp_timing", 2, /*timing=*/true);
+    std::vector<uint8_t> bytes = readBytes(timing);
+    std::remove(timing.c_str());
+    uint8_t *block = bytes.data() + replay::kHeaderBytes;
+    uint32_t words[replay::kTimingConfigWords];
+    for (uint32_t i = 0; i < replay::kTimingConfigWords; ++i)
+        words[i] = replay::getU32(block + 4 * i);
+    TimingConfig tc = replay::unpackTimingConfig(words);
+    tc.commitWidth = 0;
+    replay::packTimingConfig(tc, words);
+    for (uint32_t i = 0; i < replay::kTimingConfigWords; ++i)
+        replay::putU32(block + 4 * i, words[i]);
+
+    std::string dirty =
+        capture(prog, "imp_dirty", 2, false, /*tamper=*/true);
+    Session off = Session::builder()
+                      .program(prog)
+                      .plan(ReplayPlan(dirty))
+                      .build();
+    off.run();
+    ASSERT_TRUE(off.alarmed());
+
+    serve::ServerConfig cfg;
+    cfg.socketPath = tmpPath("imp.sock");
+    cfg.threads = 2;
+    serve::Server srv(prog, cfg);
+    srv.start();
+
+    serve::StreamResult good;
+    std::thread alice([&] {
+        serve::Client c;
+        connectRetry(c, cfg.socketPath);
+        c.helloV2("alice", replay::moduleContentHash(prog.mod));
+        c.sendTraceFile(dirty, 64);
+        good = c.end();
+    });
+    serve::StreamResult bad;
+    try {
+        serve::Client c;
+        connectRetry(c, cfg.socketPath);
+        helloNoResume(c, "mallory", prog);
+        c.sendTraceBytes(bytes.data(), bytes.size());
+        bad = c.end();
+    } catch (...) {
+        alice.join();
+        throw;
+    }
+    alice.join();
+    srv.stopAndJoin();
+
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.errorCode, "trace") << bad.text;
+    EXPECT_NE(bad.text.find("commitWidth"), std::string::npos)
+        << bad.text;
+    ASSERT_TRUE(good.ok) << good.text;
+    EXPECT_EQ(good.alarmDigest, serve::alarmDigest(off.alarms()));
+    EXPECT_EQ(srv.streamsCompleted(), 1u);
+    EXPECT_EQ(srv.streamsFailed(), 1u);
+    std::remove(dirty.c_str());
+}
+
 // ------------------------------------------------- shutdown
 
 TEST(Service, RequestStopUnblocksAnOpenEndedWait)

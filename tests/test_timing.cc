@@ -1,22 +1,33 @@
 /**
  * @file
- * Timing-substrate tests: cache geometry/LRU, the two-level branch
- * predictor, the IPDS engine's queue and spill mechanics,
- * whole-model sanity (determinism, IPC bounds, IPDS-off neutrality),
- * and a golden that pins the model's absolute output.
+ * Timing-substrate tests (`ctest -L timing`): cache geometry/LRU, the
+ * two-level branch predictor, the IPDS engine's queue and spill
+ * mechanics, the TimingConfig check, whole-model sanity (determinism,
+ * IPC bounds, IPDS-off neutrality), and goldens that pin the model's absolute output: the
+ * Table 1 configuration, stress configurations that reach the paths
+ * Table 1 does not (full request queues, spills and fills, context
+ * switches, deep recursion, ring faults, wrapping rings), and the
+ * bytes of a timing capture that snapshots the engine at every chunk.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <fstream>
+#include <functional>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "core/program.h"
 #include "gen/gen.h"
+#include "inject/fault.h"
 #include "ipds/detector.h"
 #include "obs/session.h"
+#include "replay/format.h"
+#include "replay/reader.h"
 #include "support/diag.h"
 #include "timing/branchpred.h"
 #include "timing/cache.h"
@@ -186,6 +197,69 @@ TEST(Engine, SpillAndFillAccounting)
     pop(200);  // pop the top; the spilled frame must fill back
     EXPECT_EQ(eng.stats().fillEvents, 1u);
     EXPECT_EQ(eng.stats().fillBits, 200u);
+}
+
+// ---------------------------------------------------------- config check
+
+TEST(TimingConfigCheck, AcceptsEveryConfigInUse)
+{
+    EXPECT_FALSE(checkTimingConfig(table1Config()));
+    for (uint32_t q = 1; q <= 64; q++) { // bench/abl_queue's sweep
+        TimingConfig cfg;
+        cfg.requestQueueSize = q;
+        EXPECT_FALSE(checkTimingConfig(cfg)) << q;
+    }
+    FaultPlan spill;
+    spill.seed = 1;
+    spill.spillPressure = true;
+    TimingConfig cfg;
+    spill.applyTo(cfg);
+    ASSERT_EQ(cfg.requestRingCapacity, 64u);
+    EXPECT_FALSE(checkTimingConfig(cfg));
+}
+
+TEST(TimingConfigCheck, NamesTheOffendingField)
+{
+    struct Case
+    {
+        const char *field;
+        void (*apply)(TimingConfig &);
+    };
+    const Case cases[] = {
+        {"fetchQueue", [](TimingConfig &c) { c.fetchQueue = 0; }},
+        {"decodeWidth", [](TimingConfig &c) { c.decodeWidth = 0; }},
+        {"issueWidth", [](TimingConfig &c) { c.issueWidth = 0; }},
+        {"commitWidth", [](TimingConfig &c) { c.commitWidth = 6; }},
+        {"ruuSize",
+         [](TimingConfig &c) { c.ruuSize = kMaxTimingQueue + 1; }},
+        {"lsqSize", [](TimingConfig &c) { c.lsqSize = 0; }},
+        {"requestQueueSize",
+         [](TimingConfig &c) { c.requestQueueSize = 0; }},
+        {"requestRingCapacity",
+         [](TimingConfig &c) { c.requestRingCapacity = 1u << 30; }},
+        {"batEntriesPerAccess",
+         [](TimingConfig &c) { c.batEntriesPerAccess = 0; }},
+        {"pageBytes", [](TimingConfig &c) { c.pageBytes = 3000; }},
+        {"tlbEntries", [](TimingConfig &c) { c.tlbEntries = 1u << 31; }},
+        {"bhtEntries", [](TimingConfig &c) { c.bhtEntries = 1000; }},
+        {"btbEntries", [](TimingConfig &c) { c.btbEntries = 0; }},
+        {"l1i.blockBytes", [](TimingConfig &c) { c.l1i.blockBytes = 0; }},
+        {"l1d.ways", [](TimingConfig &c) { c.l1d.ways = 0; }},
+        {"l2 set count", [](TimingConfig &c) { c.l2.sizeBytes = 1000; }},
+        {"l2 holds",
+         [](TimingConfig &c) { c.l2.sizeBytes = 1u << 31; }},
+        {"historyBits", [](TimingConfig &c) { c.historyBits = 17; }},
+        {"maxFrameDepth",
+         [](TimingConfig &c) { c.maxFrameDepth = kMaxTimingTable + 1; }},
+    };
+    for (const Case &k : cases) {
+        TimingConfig cfg;
+        k.apply(cfg);
+        std::optional<std::string> bad = checkTimingConfig(cfg);
+        ASSERT_TRUE(bad) << k.field;
+        EXPECT_NE(bad->find(k.field), std::string::npos) << *bad;
+        EXPECT_THROW(CpuModel{cfg}, FatalError) << k.field;
+    }
 }
 
 // ------------------------------------------------------------- CpuModel
@@ -430,6 +504,367 @@ TEST(TimingGolden, Table1StatsPinned)
                           << row.str() << "}";
         }
     }
+}
+
+/** Fail with the row to repin when @p got drifts from @p want. */
+void
+expectPinned(const std::string &name, const TimingFields &got,
+             const TimingFields &want)
+{
+    for (size_t i = 0; i < kNumTimingFields; i++)
+        EXPECT_EQ(got[i], want[i]) << name << ": " << kTimingFields[i];
+    if (got != want) {
+        std::ostringstream row;
+        for (size_t i = 0; i < kNumTimingFields; i++)
+            row << (i ? ", " : "") << got[i];
+        ADD_FAILURE() << name << ": the timing model's output "
+                      << "drifted — if intentional, repin to {"
+                      << row.str() << "}";
+    }
+}
+
+/**
+ * Recurses input-many levels deep, then calls a different function
+ * through the same depths: the second chain reads the ready ticks the
+ * first one left at each depth (a returning call does not clear
+ * them). Loops for a second input's worth of rounds.
+ */
+const char *kDeepProgram = R"(
+int leaf(int x) {
+    if (x > 3) {
+        return x - 1;
+    }
+    return x + 1;
+}
+
+int down(int n) {
+    int r;
+    if (n <= 0) {
+        return 0;
+    }
+    r = down(n - 1);
+    return r + leaf(n);
+}
+
+int again(int n) {
+    int s;
+    if (n <= 0) {
+        return 1;
+    }
+    s = again(n - 1);
+    if (s > n) {
+        s = s - n;
+    }
+    return s;
+}
+
+void main() {
+    int n;
+    int rounds;
+    int k;
+    int a;
+    n = input_int();
+    rounds = input_int();
+    k = 0;
+    a = 0;
+    while (k < rounds) {
+        a = a + down(n);
+        a = a + again(n);
+        k = k + 1;
+    }
+    print_int(a);
+}
+)";
+
+const std::vector<std::string> kDeepInputs{"72", "3"};
+
+/** Exits 40 calls deep: no call returns, so the engine's table frames
+ *  (and the model's call depth) carry over into the next session. */
+const char *kExitDeepProgram = R"(
+int dive(int n) {
+    int r;
+    if (n <= 0) {
+        exit(0);
+    }
+    r = dive(n - 1);
+    return r + 1;
+}
+
+void main() {
+    print_int(dive(input_int()));
+}
+)";
+
+/** Two sessions of @p prog through one CpuModel (Session, 1 shard). */
+TimingStats
+sessionStats(const CompiledProgram &prog,
+             const std::vector<std::string> &inputs,
+             const TimingConfig &cfg, const ExecPlan &plan = ExecPlan())
+{
+    return Session::builder()
+        .program(prog)
+        .inputs(inputs)
+        .timing(cfg)
+        .sessions(2)
+        .shards(1)
+        .plan(plan)
+        .build()
+        .run()
+        .timingStats();
+}
+
+/** Three sessions through one CpuModel with @p switches context
+ *  switches after each. */
+TimingStats
+switchedStats(const CompiledProgram &prog,
+              const std::vector<std::string> &inputs, bool lazy,
+              int switches)
+{
+    CpuModel cpu(table1Config());
+    for (int s = 0; s < 3; s++) {
+        Vm vm(prog.mod);
+        vm.setInputs(inputs);
+        vm.setRecordTrace(false);
+        Detector det(prog);
+        det.setRequestRing(&cpu.requestRing());
+        vm.addObserver(&det);
+        vm.addObserver(&cpu);
+        vm.run();
+        for (int k = 0; k < switches; k++)
+            cpu.contextSwitch(lazy);
+    }
+    return cpu.stats();
+}
+
+/** A plan that only forces a context switch every @p every branches. */
+FaultPlan
+ctxStorm(uint32_t every, bool lazy)
+{
+    FaultPlan p;
+    p.seed = 5;
+    p.ctxEveryBranches = every;
+    p.lazyCtx = lazy;
+    return p;
+}
+
+/** One stress row: what it drives and its pinned output. */
+struct StressGolden
+{
+    const char *name;
+    TimingFields fields;
+};
+
+/**
+ * The paths Table 1 never reaches, pinned: a request queue of 1 and 2
+ * entries (the queue fills and stalls commit), on-chip stacks small
+ * enough to spill and fill, lazy and eager context switches between
+ * sessions (with 40 frames left by an exit() in each) and in
+ * mid-recursion storms, 72-deep recursion followed by
+ * a second call chain through the same depths, ring drop/dup faults
+ * under spill pressure (ring capacity 64, depth clamp at 64), rings
+ * small enough that every FIFO wraps, small power-of-two tables whose
+ * indices alias, and IPDS off. Rows run in the order of
+ * stressRunners().
+ */
+const StressGolden kStressGolden[] = {
+    {"queue1/sendmail",
+     {45738, 11404, 214, 54, 26, 2, 28, 3, 215, 2, 218, 0, 0, 0, 432,
+      214, 214, 698, 215, 215, 0, 0, 0, 0, 214, 214, 1, 0, 0}},
+    {"queue2/gen1",
+     {45898, 11372, 156, 43, 45, 8, 53, 3, 107, 2, 180, 0, 0, 0, 330,
+      150, 156, 500, 66, 107, 0, 0, 0, 0, 233, 150, 2, 0, 0}},
+    {"spill/deep",
+     {27218, 23261, 1748, 36, 13, 38, 51, 2, 12680, 2, 4368, 0, 0, 0,
+      5676, 1308, 1748, 21024, 1633, 12680, 702, 16152, 702, 16152,
+      38065, 1308, 74, 0, 0}},
+    {"deep/table1",
+     {27218, 9518, 1748, 36, 13, 38, 51, 2, 1255, 2, 4368, 0, 0, 0,
+      5676, 1308, 1748, 6984, 1213, 1255, 0, 0, 0, 0, 10858, 1308, 74,
+      0, 0}},
+    {"ctx-between-lazy/exit-deep",
+     {7227, 1821, 123, 3, 3, 21, 24, 2, 102, 2, 249, 0, 0, 0, 372,
+      123, 123, 495, 101, 102, 125, 2214, 0, 0, 1057, 123, 126, 0, 0}},
+    {"ctx-between-eager/exit-deep",
+     {7227, 2381, 123, 3, 3, 21, 24, 2, 102, 2, 249, 0, 0, 0, 372,
+      123, 123, 495, 101, 102, 0, 0, 0, 0, 1057, 123, 126, 0, 0}},
+    {"ctx-storm-lazy/deep",
+     {27218, 20273, 1748, 36, 13, 38, 51, 2, 6669, 2, 4368, 0, 0, 0,
+      5676, 1308, 1748, 16124, 1090, 6669, 914, 20508, 914, 20508,
+      17556, 1308, 74, 0, 0}},
+    {"ctx-storm-eager/deep",
+     {27218, 18981, 1748, 36, 13, 38, 51, 2, 722, 2, 4368, 0, 0, 0,
+      5676, 1308, 1748, 6984, 617, 722, 0, 0, 0, 0, 8448, 1308, 74, 0,
+      0}},
+    {"ring-faults/deep",
+     {27218, 10754, 1748, 36, 13, 38, 51, 2, 2363, 2, 4368, 0, 224,
+      228, 5680, 1311, 1751, 8362, 1184, 2363, 126, 2824, 12, 2824,
+      14068, 1311, 64, 114, 0}},
+    {"fault-seed/sendmail",
+     {45738, 10773, 214, 54, 26, 2, 28, 3, 0, 2, 218, 0, 2, 12, 442,
+      220, 219, 713, 0, 0, 0, 0, 0, 0, 280, 220, 1, 0, 0}},
+    {"small-rings/httpd",
+     {66086, 19427, 90, 26, 18, 2, 20, 3, 0, 2, 94, 0, 0, 0, 184, 90,
+      90, 284, 0, 0, 0, 0, 0, 0, 145, 90, 1, 0, 0}},
+    {"small-tables/portmap",
+     {69154, 11111, 124, 55, 12, 7, 16, 3, 0, 2, 128, 0, 0, 0, 236,
+      108, 124, 370, 0, 0, 0, 0, 0, 0, 280, 108, 1, 0, 0}},
+    {"ipds-off/xinetd",
+     {54718, 10153, 122, 40, 21, 4, 25, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+};
+
+std::vector<std::function<TimingStats()>>
+stressRunners()
+{
+    auto workload = [](const char *name) {
+        const Workload &wl = workloadByName(name);
+        return std::make_pair(compileAndAnalyze(wl.source, wl.name),
+                              wl.benignInputs);
+    };
+    auto deep = [] {
+        return std::make_pair(compileAndAnalyze(kDeepProgram, "deep"),
+                              kDeepInputs);
+    };
+    std::vector<std::function<TimingStats()>> r;
+    r.push_back([=] {
+        auto [prog, in] = workload("sendmail");
+        TimingConfig cfg;
+        cfg.requestQueueSize = 1;
+        return sessionStats(prog, in, cfg);
+    });
+    r.push_back([] {
+        gen::GeneratedProgram gp = gen::generate(1);
+        TimingConfig cfg;
+        cfg.requestQueueSize = 2;
+        return sessionStats(gen::compileGenerated(gp),
+                            gp.workload.benignInputs, cfg);
+    });
+    r.push_back([=] {
+        auto [prog, in] = deep();
+        TimingConfig cfg;
+        cfg.bsvStackBits = 64;
+        cfg.bcvStackBits = 32;
+        cfg.batStackBits = 256;
+        return sessionStats(prog, in, cfg);
+    });
+    r.push_back([=] {
+        auto [prog, in] = deep();
+        return sessionStats(prog, in, table1Config());
+    });
+    for (bool lazy : {true, false})
+        r.push_back([=] {
+            return switchedStats(
+                compileAndAnalyze(kExitDeepProgram, "exit_deep"), {"40"},
+                lazy, 4);
+        });
+    for (bool lazy : {true, false})
+        r.push_back([=] {
+            auto [prog, in] = deep();
+            return sessionStats(prog, in, table1Config(),
+                                ExecPlan().faults(ctxStorm(7, lazy)));
+        });
+    r.push_back([=] {
+        auto [prog, in] = deep();
+        FaultPlan p;
+        p.seed = 7;
+        p.ringDropPermille = 40;
+        p.ringDupPermille = 40;
+        p.spillPressure = true;
+        return sessionStats(prog, in, table1Config(),
+                            ExecPlan().faults(p));
+    });
+    r.push_back([=] {
+        auto [prog, in] = workload("sendmail");
+        return sessionStats(prog, in, table1Config(),
+                            ExecPlan().faults(FaultPlan::fromSeed(11)));
+    });
+    r.push_back([=] {
+        auto [prog, in] = workload("httpd");
+        TimingConfig cfg;
+        cfg.issueWidth = 4;
+        cfg.commitWidth = 4;
+        cfg.ruuSize = 16;
+        cfg.lsqSize = 8;
+        cfg.fetchQueue = 4;
+        return sessionStats(prog, in, cfg);
+    });
+    r.push_back([=] {
+        auto [prog, in] = workload("portmap");
+        TimingConfig cfg;
+        cfg.l1i = {4096, 1, 64, 2};
+        cfg.l1d = {2048, 2, 16, 2};
+        cfg.l2 = {32768, 4, 64, 10};
+        cfg.pageBytes = 1024;
+        cfg.tlbEntries = 8;
+        cfg.bhtEntries = 64;
+        cfg.historyBits = 4;
+        cfg.btbEntries = 128;
+        return sessionStats(prog, in, cfg);
+    });
+    r.push_back([=] {
+        auto [prog, in] = workload("xinetd");
+        TimingConfig cfg;
+        cfg.ipdsEnabled = false;
+        return sessionStats(prog, in, cfg);
+    });
+    return r;
+}
+
+TEST(TimingGolden, StressStatsPinned)
+{
+    std::vector<std::function<TimingStats()>> runners = stressRunners();
+    ASSERT_EQ(runners.size(), std::size(kStressGolden));
+    for (size_t i = 0; i < runners.size(); i++)
+        expectPinned(kStressGolden[i].name, timingFields(runners[i]()),
+                     kStressGolden[i].fields);
+}
+
+/** 64-bit FNV-1a. */
+uint64_t
+fnv1a(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(TimingGolden, SnapshottingCaptureBytesPinned)
+{
+    // Every snapshot in a timing capture carries the running
+    // TimingStats and the engine's queued completion times and table
+    // frames, so these bytes pin the engine state mid-recursion.
+    CompiledProgram prog = compileAndAnalyze(kDeepProgram, "deep");
+    const std::string path =
+        testing::TempDir() + "ipds_timing_golden_capture.trc";
+    Session::builder()
+        .program(prog)
+        .inputs({"72", "12"})
+        .timing(table1Config())
+        .sessions(2)
+        .plan(CapturePlan(path).snapshotEvery(1))
+        .build()
+        .run();
+    std::vector<uint8_t> bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    std::remove(path.c_str());
+
+    replay::TraceFile tf = replay::TraceFile::fromBytes(bytes);
+    size_t snapshots = 0;
+    for (const replay::ChunkRef &c : tf.chunks())
+        snapshots += (c.flags & replay::kChunkHasSnapshot) ? 1 : 0;
+    EXPECT_GE(snapshots, 2u);
+    EXPECT_EQ(bytes.size(), 183010u);
+    EXPECT_EQ(fnv1a(bytes), 0x23532fb70f2480deULL)
+        << "timing capture drifted: " << bytes.size() << " bytes, "
+        << snapshots << " snapshot chunks, FNV-1a 0x" << std::hex
+        << fnv1a(bytes);
 }
 
 } // namespace
