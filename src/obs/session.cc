@@ -448,11 +448,10 @@ Session::runReplay(const ReplayPlan &rp)
     const replay::TraceMeta &m = tf.meta();
     const std::vector<replay::ChunkRef> &chunks = tf.chunks();
 
-    const uint64_t indexMissing =
-        (wantIndex ? idxInfo.usedIndex : tf.hasIndexFooter()) ? 0 : 1;
-    uint64_t seeks = 0;
-    uint64_t snapshotsUsed = 0;
-    uint64_t workersUsed = 1;
+    replay::ReplayRun run;
+    run.indexBytes = tf.indexBytes();
+    run.indexMissing =
+        !(wantIndex ? idxInfo.usedIndex : tf.hasIndexFooter());
 
     // Chunks sit in non-decreasing session order (shard streams
     // concatenate in shard order), so a session's chunks are one
@@ -468,8 +467,8 @@ Session::runReplay(const ReplayPlan &rp)
     };
 
     // Every mode funnels its results into per-capture-shard slots and
-    // through the same registry block below, so the export shape (and
-    // the serve mirror) never forks.
+    // through replayReport(), as a served stream does, so the export
+    // shape never forks.
     std::vector<replay::ReplayShardResult> outs;
     auto t0 = std::chrono::steady_clock::now();
 
@@ -477,15 +476,16 @@ Session::runReplay(const ReplayPlan &rp)
         // ---- seek: one span cursor over the trace tail; earlier
         // chunks are never read (the chunk meter proves the skip).
         outs.resize(1);
-        seeks = 1;
+        run.seeks = 1;
         if (rp.hasSeekSession) {
             uint32_t s = rp.seekSessionIdx;
             if (s >= m.sessions)
                 fatal("Session: seekSession(%u) out of range (trace "
                       "has %u sessions)",
                       s, m.sessions);
-            eng.replayChunkRange(firstChunkOf(s), chunks.size(), s,
-                                 m.sessions, outs[0]);
+            replay::ReplayEngine::ShardCursor cur(eng, s, m.sessions);
+            eng.replayChunks(cur, firstChunkOf(s), chunks.size(),
+                             outs[0]);
         } else {
             if (rp.seekChunkIdx >= chunks.size())
                 fatal("Session: seekChunk(%llu) out of range (trace "
@@ -539,17 +539,11 @@ Session::runReplay(const ReplayPlan &rp)
                                                   m.sessions);
             if (resumed && sd.hasDetector && from > sessStart) {
                 cur.resume(sess, sd.det);
-                snapshotsUsed = 1;
+                run.snapshotsUsed = 1;
             } else {
                 from = sessStart;
             }
-            for (size_t i = from; i < chunks.size(); i++) {
-                if (tf.crcDeferred())
-                    tf.checkChunkCrc(chunks[i]);
-                cur.feed(chunks[i], tf.payload(chunks[i]));
-            }
-            cur.finish();
-            outs[0] = std::move(cur.result());
+            eng.replayChunks(cur, from, chunks.size(), outs[0]);
         }
     } else if (rp.parallelSet && idxInfo.usedIndex) {
         // ---- parallel: detector-only traces split per session (each
@@ -588,7 +582,7 @@ Session::runReplay(const ReplayPlan &rp)
             workers = static_cast<unsigned>(units.size());
         if (workers == 0)
             workers = 1;
-        workersUsed = workers;
+        run.workers = workers;
 
         std::vector<replay::ReplayShardResult> unitOuts(units.size());
         {
@@ -597,9 +591,10 @@ Session::runReplay(const ReplayPlan &rp)
                 static_cast<uint32_t>(units.size()),
                 [&](uint32_t u) {
                     const Unit &w = units[u];
-                    eng.replayChunkRange(w.chunkBegin, w.chunkEnd,
-                                         w.sessBegin, w.sessEnd,
-                                         unitOuts[u]);
+                    replay::ReplayEngine::ShardCursor cur(
+                        eng, w.sessBegin, w.sessEnd);
+                    eng.replayChunks(cur, w.chunkBegin, w.chunkEnd,
+                                     unitOuts[u]);
                 });
         }
 
@@ -608,26 +603,8 @@ Session::runReplay(const ReplayPlan &rp)
         for (uint32_t s = 0; s < m.shards; s++) {
             const uint32_t e = static_cast<uint32_t>(
                 uint64_t(s + 1) * m.sessions / m.shards);
-            replay::ReplayShardResult &dst = outs[s];
-            for (; u < units.size() && units[u].sessEnd <= e; u++) {
-                replay::ReplayShardResult &src = unitOuts[u];
-                dst.det.merge(src.det);
-                dst.tim.merge(src.tim);
-                dst.fault.merge(src.fault);
-                dst.alarms.insert(dst.alarms.end(),
-                                  src.alarms.begin(),
-                                  src.alarms.end());
-                dst.runs += src.runs;
-                dst.steps += src.steps;
-                dst.inputEvents += src.inputEvents;
-                dst.vmInstructions += src.vmInstructions;
-                dst.vmBlocks += src.vmBlocks;
-                dst.vmFlushes += src.vmFlushes;
-                dst.chunks += src.chunks;
-                dst.bytes += src.bytes;
-                dst.events += src.events;
-                dst.snapshots += src.snapshots;
-            }
+            for (; u < units.size() && units[u].sessEnd <= e; u++)
+                outs[s].merge(unitOuts[u]);
         }
     } else {
         // ---- sequential (also the v1 / damaged-footer fallback).
@@ -645,58 +622,15 @@ Session::runReplay(const ReplayPlan &rp)
             });
         }
     }
-    double secs = std::chrono::duration<double>(
+    run.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-
-    namespace n = obs::names;
-    uint64_t totalEvents = 0;
-    for (const replay::ReplayShardResult &r : outs) {
-        detStat.merge(r.det);
-        timStat.merge(r.tim);
-        fltStat.merge(r.fault);
-        alarmList.insert(alarmList.end(), r.alarms.begin(),
-                         r.alarms.end());
-        totalEvents += r.events;
-
-        // Per-shard registry in the SAME registration order as the
-        // live path, so the shared metrics merge to identical values;
-        // the replay-only meters append after.
-        obs::MetricsRegistry reg;
-        reg.add(reg.counter(n::kSessRuns), r.runs);
-        reg.add(reg.counter(n::kSessSteps), r.steps);
-        reg.add(reg.counter(n::kSessInputEvents), r.inputEvents);
-        reg.add(reg.counter(n::kSessTraceDropped), 0);
-        reg.add(reg.counter(n::kVmInstructions), r.vmInstructions);
-        reg.add(reg.counter(n::kVmBlocks), r.vmBlocks);
-        reg.add(reg.counter(n::kVmEventBatchFlushes), r.vmFlushes);
-        if (m.detectorOn())
-            obs::exportDetectorStats(r.det, r.alarms.size(), reg);
-        if (m.hasTiming)
-            obs::exportTimingStats(r.tim, reg);
-        if (m.faultCaptured())
-            obs::exportFaultStats(r.fault, reg);
-        reg.add(reg.counter(n::kReplayChunks), r.chunks);
-        reg.add(reg.counter(n::kReplayBytes), r.bytes);
-        reg.add(reg.counter(n::kReplayEvents), r.events);
-        reg.add(reg.counter(n::kReplaySnapshotsWritten), r.snapshots);
-        registry.merge(reg);
-    }
-    registry.add(registry.counter(n::kReplayBytes),
-                 replay::headerBytes(m) + tf.indexBytes());
-    registry.add(registry.counter(n::kReplaySessions), m.sessions);
-    registry.add(registry.counter(n::kReplayCrcFailures), 0);
-    registry.add(registry.counter(n::kReplayTruncatedChunks), 0);
-    registry.add(registry.counter(n::kReplayVersionMismatches), 0);
-    registry.add(registry.counter(n::kReplayIndexMissing),
-                 indexMissing);
-    registry.add(registry.counter(n::kReplaySeeks), seeks);
-    registry.add(registry.counter(n::kReplaySnapshotsUsed),
-                 snapshotsUsed);
-    registry.set(registry.gauge(n::kReplayWorkers), workersUsed);
-    registry.set(registry.gauge(n::kReplayEventsPerSec),
-                 secs > 0.0 ? static_cast<uint64_t>(totalEvents / secs)
-                            : 0);
+    replay::ReplayReport rep = replay::replayReport(m, outs, run);
+    detStat = rep.total.det;
+    timStat = rep.total.tim;
+    fltStat = rep.total.fault;
+    alarmList = std::move(rep.total.alarms);
+    registry = std::move(rep.metrics);
     return *this;
 }
 

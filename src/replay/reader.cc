@@ -1,5 +1,6 @@
 #include "replay/reader.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -55,8 +56,9 @@ ParseStatus
 parseHeader(const uint8_t *p, size_t n, TraceMeta &meta,
             size_t &consumed, std::string *err)
 {
+    // An empty trace may come with a null @p p: compare no bytes.
     size_t have = n < sizeof kTraceMagic ? n : sizeof kTraceMagic;
-    if (std::memcmp(p, kTraceMagic, have) != 0)
+    if (have > 0 && std::memcmp(p, kTraceMagic, have) != 0)
         return parseFail(ParseStatus::Malformed, err,
                         "not an IPDS trace (bad magic)", consumed, 0);
     if (n < kHeaderBytes)
@@ -148,6 +150,51 @@ parseChunk(const uint8_t *p, size_t n, ChunkRef &out,
     return ParseStatus::Ok;
 }
 
+IndexTail
+parseIndexTail(const uint8_t *p, size_t n, bool atEnd)
+{
+    using Kind = IndexTail::Kind;
+    IndexTail t;
+    // At a chunk boundary the trailer magic cannot be mistaken for a
+    // chunk header (a payloadLen spelling "IPDS" is far past every
+    // length cap).
+    if (n >= 8 && std::memcmp(p, kIndexTrailerMagic, 8) == 0) {
+        t.kind = n > kIndexTrailerBytes ? Kind::Reject
+            : atEnd                     ? Kind::End
+                                        : Kind::NeedMore;
+        t.bytes = std::min(n, kIndexTrailerBytes);
+        t.defect = n < kIndexTrailerBytes;
+        return t;
+    }
+    // The footer is only recognized once its sentinel can be read.
+    if (n < 12 || getU32(p + 8) != kIndexSession)
+        return t;
+    ChunkRef c;
+    size_t used = 0;
+    const ParseStatus st = parseChunk(p, n, c, used, nullptr);
+    if (st == ParseStatus::NeedMore && !atEnd) {
+        t.kind = Kind::NeedMore;
+        return t;
+    }
+    t.footer = st == ParseStatus::Ok &&
+        static_cast<uint64_t>(c.events) * kIndexEntryBytes ==
+            c.payloadLen;
+    t.defect = !t.footer;
+    t.kind = Kind::Skip;
+    if (st == ParseStatus::Ok) {
+        t.bytes = used;
+    } else if (st == ParseStatus::ChunkCrcMismatch) {
+        // parseFail overloaded `used` with the defect offset.
+        t.bytes = kChunkHeaderBytes + c.payloadLen;
+    } else {
+        // Truncated or impossible: the footer is the trace's last
+        // structure, so the rest is index bytes.
+        t.kind = Kind::End;
+        t.bytes = n;
+    }
+    return t;
+}
+
 void
 TraceFile::parse(ValidateResult *issues)
 {
@@ -187,61 +234,27 @@ TraceFile::parse(ValidateResult *issues)
     uint32_t seqSession = 0;
     uint64_t seq = 0;
     while (off < n) {
-        // v2 files close with a 16-byte index trailer; at a chunk
-        // boundary its magic cannot be mistaken for a chunk header
-        // (a payloadLen spelling "IPDS" is far past every length cap).
-        if (meta_.version >= 2 && n - off >= 8 &&
-            std::memcmp(b + off, kIndexTrailerMagic, 8) == 0) {
-            size_t rem = n - off;
-            size_t used =
-                rem < kIndexTrailerBytes ? rem : kIndexTrailerBytes;
-            if (rem < kIndexTrailerBytes && issues)
-                issues->indexDefects++;
-            indexBytes_ += used;
-            off += used;
-            if (off < n) {
+        if (meta_.version >= 2) {
+            // The footer is advisory and recomputed by this very scan,
+            // so its defects only cost the index.
+            const IndexTail t = parseIndexTail(b + off, n - off, true);
+            if (t.kind == IndexTail::Kind::Reject) {
                 defect(issues, nullptr, "bytes after index trailer",
-                       off);
+                       off + t.bytes);
                 return;
             }
-            break;
+            if (t.kind != IndexTail::Kind::Data) {
+                if (t.defect && issues)
+                    issues->indexDefects++;
+                hasFooter_ |= t.footer;
+                indexBytes_ += t.bytes;
+                off += t.bytes; // End took the rest: the loop stops
+                continue;
+            }
         }
         ChunkRef c;
         size_t used = 0;
         ParseStatus st = parseChunk(b + off, n - off, c, used, &err);
-        // The v2 index footer chunk is advisory: any defect in it
-        // degrades to "no usable index" (it is recomputed by this very
-        // scan), never to a failed file. It is only recognized when
-        // enough of the chunk header is present to read the sentinel.
-        bool footer = meta_.version >= 2 && n - off >= 12 &&
-            getU32(b + off + 8) == kIndexSession;
-        if (footer) {
-            if (st == ParseStatus::Ok) {
-                if (c.payloadLen % kIndexEntryBytes == 0 &&
-                    static_cast<uint64_t>(c.events) *
-                            kIndexEntryBytes == c.payloadLen)
-                    hasFooter_ = true;
-                else if (issues)
-                    issues->indexDefects++;
-                indexBytes_ += used;
-                off += used;
-                continue;
-            }
-            if (issues)
-                issues->indexDefects++;
-            if (st == ParseStatus::ChunkCrcMismatch) {
-                // parseFail overloaded `used` with the defect offset;
-                // the skip distance is recomputed from the header.
-                size_t skip = kChunkHeaderBytes + c.payloadLen;
-                indexBytes_ += skip;
-                off += skip;
-                continue;
-            }
-            // Truncated or impossible footer: it is the last
-            // structure in the file, so consume the tail and stop.
-            indexBytes_ += n - off;
-            break;
-        }
         if (st == ParseStatus::NeedMore) {
             defect(issues,
                    issues ? &issues->truncatedChunks : nullptr,
@@ -331,23 +344,15 @@ TraceFile::parseFromFooter(std::string *reason)
         footerOff + kChunkHeaderBytes + kIndexTrailerBytes > n)
         return bail("index trailer offset out of range");
 
-    ChunkRef fc;
-    size_t used = 0;
-    if (parseChunk(b + footerOff, n - kIndexTrailerBytes - footerOff,
-                   fc, used, &err) != ParseStatus::Ok)
-        return bail("index footer chunk corrupt");
-    if (fc.session != kIndexSession)
-        return bail("index footer sentinel missing");
-    if (footerOff + used + kIndexTrailerBytes != n)
-        return bail("index footer does not reach the trailer");
-    if (fc.payloadLen % kIndexEntryBytes != 0 ||
-        static_cast<uint64_t>(fc.events) * kIndexEntryBytes !=
-            fc.payloadLen ||
-        fc.payloadLen == 0)
-        return bail("index footer geometry inconsistent");
+    // A footer the sequential scan would take, ending at the trailer.
+    const size_t footerBytes = n - kIndexTrailerBytes - footerOff;
+    const IndexTail t = parseIndexTail(b + footerOff, footerBytes, true);
+    if (!t.footer || t.bytes != footerBytes)
+        return bail("index footer chunk unusable");
 
-    const size_t count = fc.payloadLen / kIndexEntryBytes;
-    const uint8_t *payload = b + footerOff + fc.payloadOff;
+    const size_t count =
+        (footerBytes - kChunkHeaderBytes) / kIndexEntryBytes;
+    const uint8_t *payload = b + footerOff + kChunkHeaderBytes;
     std::vector<ChunkRef> idx;
     idx.reserve(count);
     uint64_t expectOff = hdr;

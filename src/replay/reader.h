@@ -13,6 +13,10 @@
  * runs the same checks without throwing and returns a tally (the
  * bench/CLI probe for corrupt inputs).
  *
+ * parseHeader(), parseChunk() and parseIndexTail() frame a trace
+ * incrementally; TraceFile and StreamDecoder (replay.h) both frame
+ * through them, so a file and a served stream are read alike.
+ *
  * TraceReader is a bounds-checked record cursor over one chunk
  * payload: every varint and operand read is length-checked, and a
  * record that runs past the payload is a FatalError.
@@ -54,8 +58,8 @@ struct ValidateResult
 
 // ---- incremental framing (streamed ingest) ------------------------------
 //
-// The detection service parses the v1 byte stream as it arrives off a
-// socket, so "not enough bytes yet" and "bytes are corrupt" MUST be
+// StreamDecoder parses a served trace as it arrives off a socket, so
+// "not enough bytes yet" and "bytes are corrupt" MUST be
 // distinguishable: the first means wait for more (retry), the second
 // means reject the stream. TraceFile::parse shares these helpers, so
 // a truncated file reports TruncatedChunk (the tail was cut — the
@@ -96,6 +100,32 @@ ParseStatus parseHeader(const uint8_t *p, size_t n, TraceMeta &meta,
  */
 ParseStatus parseChunk(const uint8_t *p, size_t n, ChunkRef &out,
                        size_t &consumed, std::string *err);
+
+/**
+ * How a v2 trace may end: the index footer chunk (session
+ * kIndexSession), then the 16-byte trailer, then nothing. Footer
+ * defects are advisory: a CRC-bad footer is skipped and a truncated or
+ * impossible one ends the trace, so they cost the index, never the
+ * trace. parseIndexTail() classifies the @p n bytes at a v2 chunk
+ * boundary @p p (@p atEnd: no more bytes follow); TraceFile::parse and
+ * StreamDecoder both read v2 chunk boundaries through it.
+ */
+struct IndexTail
+{
+    enum class Kind : uint8_t
+    {
+        Data,     ///< no index bytes here: parse a data chunk
+        NeedMore, ///< index bytes, not all there yet (!atEnd only)
+        Skip,     ///< `bytes` index bytes; more structures may follow
+        End,      ///< `bytes` index bytes, and so is all that follows
+        Reject,   ///< bytes follow the trailer, `bytes` past p
+    };
+    Kind kind = Kind::Data;
+    size_t bytes = 0;
+    bool footer = false; ///< a CRC-valid footer of consistent geometry
+    bool defect = false; ///< an advisory footer or trailer defect
+};
+IndexTail parseIndexTail(const uint8_t *p, size_t n, bool atEnd);
 
 /** How an indexed load resolved (see TraceFile::loadIndexed). */
 struct IndexedLoad

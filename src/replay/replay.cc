@@ -1,9 +1,85 @@
 #include "replay/replay.h"
 
+#include <algorithm>
+#include <cstring>
+
+#include "obs/export.h"
+#include "obs/names.h"
 #include "support/diag.h"
 
 namespace ipds {
 namespace replay {
+
+void
+ReplayShardResult::merge(const ReplayShardResult &o)
+{
+    det.merge(o.det);
+    tim.merge(o.tim);
+    fault.merge(o.fault);
+    alarms.insert(alarms.end(), o.alarms.begin(), o.alarms.end());
+    runs += o.runs;
+    steps += o.steps;
+    inputEvents += o.inputEvents;
+    vmInstructions += o.vmInstructions;
+    vmBlocks += o.vmBlocks;
+    vmFlushes += o.vmFlushes;
+    chunks += o.chunks;
+    bytes += o.bytes;
+    events += o.events;
+    snapshots += o.snapshots;
+}
+
+ReplayReport
+replayReport(const TraceMeta &m,
+             const std::vector<ReplayShardResult> &shards,
+             const ReplayRun &run)
+{
+    namespace n = obs::names;
+    ReplayReport rep;
+    obs::MetricsRegistry &reg = rep.metrics;
+    for (const ReplayShardResult &r : shards) {
+        rep.total.merge(r);
+        // Per-shard registry in the SAME registration order as the
+        // live path, so the shared metrics merge to identical values;
+        // the replay-only meters append after.
+        obs::MetricsRegistry one;
+        one.add(one.counter(n::kSessRuns), r.runs);
+        one.add(one.counter(n::kSessSteps), r.steps);
+        one.add(one.counter(n::kSessInputEvents), r.inputEvents);
+        one.add(one.counter(n::kSessTraceDropped), 0);
+        one.add(one.counter(n::kVmInstructions), r.vmInstructions);
+        one.add(one.counter(n::kVmBlocks), r.vmBlocks);
+        one.add(one.counter(n::kVmEventBatchFlushes), r.vmFlushes);
+        if (m.detectorOn())
+            obs::exportDetectorStats(r.det, r.alarms.size(), one);
+        if (m.hasTiming)
+            obs::exportTimingStats(r.tim, one);
+        if (m.faultCaptured())
+            obs::exportFaultStats(r.fault, one);
+        one.add(one.counter(n::kReplayChunks), r.chunks);
+        one.add(one.counter(n::kReplayBytes), r.bytes);
+        one.add(one.counter(n::kReplayEvents), r.events);
+        one.add(one.counter(n::kReplaySnapshotsWritten), r.snapshots);
+        reg.merge(one);
+    }
+    reg.add(reg.counter(n::kReplayBytes),
+            headerBytes(m) + run.indexBytes);
+    reg.add(reg.counter(n::kReplaySessions), m.sessions);
+    // A replay that reports read no defect; a served stream that
+    // fails counts its defect in its tenant's registry instead.
+    reg.add(reg.counter(n::kReplayCrcFailures), 0);
+    reg.add(reg.counter(n::kReplayTruncatedChunks), 0);
+    reg.add(reg.counter(n::kReplayVersionMismatches), 0);
+    reg.add(reg.counter(n::kReplayIndexMissing), run.indexMissing);
+    reg.add(reg.counter(n::kReplaySeeks), run.seeks);
+    reg.add(reg.counter(n::kReplaySnapshotsUsed), run.snapshotsUsed);
+    reg.set(reg.gauge(n::kReplayWorkers), run.workers);
+    reg.set(reg.gauge(n::kReplayEventsPerSec),
+            run.seconds > 0.0
+                ? static_cast<uint64_t>(rep.total.events / run.seconds)
+                : 0);
+    return rep;
+}
 
 ReplayEngine::ReplayEngine(const TraceFile &f,
                            const CompiledProgram &p)
@@ -389,10 +465,20 @@ ReplayEngine::ShardCursor::finish()
 void
 ReplayEngine::replayShard(uint32_t shard, ReplayShardResult &out) const
 {
-    if (!file_)
-        fatal("replay: replayShard on a streaming engine");
     ShardCursor cur(*this, shard);
-    for (const ChunkRef &c : file_->chunks()) {
+    replayChunks(cur, 0, SIZE_MAX, out);
+}
+
+void
+ReplayEngine::replayChunks(ShardCursor &cur, size_t chunkBegin,
+                           size_t chunkEnd, ReplayShardResult &out) const
+{
+    if (!file_)
+        fatal("replay: file replay on a streaming engine");
+    const std::vector<ChunkRef> &chunks = file_->chunks();
+    chunkEnd = std::min(chunkEnd, chunks.size());
+    for (size_t i = chunkBegin; i < chunkEnd; ++i) {
+        const ChunkRef &c = chunks[i];
         if (c.session < cur.begin() || c.session >= cur.end())
             continue;
         if (file_->crcDeferred())
@@ -404,27 +490,138 @@ ReplayEngine::replayShard(uint32_t shard, ReplayShardResult &out) const
 }
 
 void
-ReplayEngine::replayChunkRange(size_t chunkBegin, size_t chunkEnd,
-                               uint32_t begin_session,
-                               uint32_t end_session,
-                               ReplayShardResult &out) const
+StreamDecoder::feed(uint64_t at, const uint8_t *p, size_t n)
 {
-    if (!file_)
-        fatal("replay: replayChunkRange on a streaming engine");
-    ShardCursor cur(*this, begin_session, end_session);
-    const std::vector<ChunkRef> &chunks = file_->chunks();
-    if (chunkEnd > chunks.size())
-        chunkEnd = chunks.size();
-    for (size_t i = chunkBegin; i < chunkEnd; ++i) {
-        const ChunkRef &c = chunks[i];
-        if (c.session < begin_session || c.session >= end_session)
-            continue;
-        if (file_->crcDeferred())
-            file_->checkChunkCrc(c);
-        cur.feed(c, file_->payload(c));
+    if (at > received_)
+        fatal("transport: resume gap — client offset %llu past the "
+              "received stream (%llu)",
+              static_cast<unsigned long long>(at),
+              static_cast<unsigned long long>(received_));
+    const size_t dup =
+        static_cast<size_t>(std::min<uint64_t>(received_ - at, n));
+    p += dup;
+    n -= dup;
+    received_ += n;
+    while (n > 0 && !carry.empty() && !ended) {
+        // Complete the carried structure, copying only its bytes: a
+        // header, a chunk, or a whole trailer, which waits only to see
+        // whether a byte follows it.
+        const size_t want = !engine
+            ? kHeaderBytes + 4 * kTimingConfigWords
+            : carry.size() < kChunkHeaderBytes ? kChunkHeaderBytes
+            : std::memcmp(carry.data(), kIndexTrailerMagic, 8) == 0
+            ? kIndexTrailerBytes + 1
+            : kChunkHeaderBytes + getU32(carry.data());
+        const size_t take = std::min(n, want - carry.size());
+        carry.insert(carry.end(), p, p + take);
+        p += take;
+        n -= take;
+        const size_t used = decode(carry.data(), carry.size(), false);
+        carry.erase(carry.begin(),
+                    carry.begin() + static_cast<ptrdiff_t>(used));
     }
-    cur.finish();
-    out = std::move(cur.result());
+    if (ended) {
+        indexBytes += n;
+    } else if (n > 0) {
+        const size_t used = decode(p, n, false);
+        carry.assign(p + used, p + n);
+    }
+}
+
+size_t
+StreamDecoder::decode(const uint8_t *p, size_t n, bool atEnd)
+{
+    std::string err;
+    size_t pos = 0;
+    if (!engine) {
+        TraceMeta meta;
+        const ParseStatus st = parseHeader(p, n, meta, pos, &err);
+        if (st == ParseStatus::NeedMore && !atEnd)
+            return 0;
+        if (st != ParseStatus::Ok)
+            reject(st, err);
+        engine.emplace(meta, prog); // the foreign-module check throws
+        cursor.emplace(*engine, 0);
+        shards.resize(meta.shards);
+    }
+    while (pos < n && !ended) {
+        const uint8_t *q = p + pos;
+        if (engine->meta().version >= 2) {
+            const IndexTail t = parseIndexTail(q, n - pos, atEnd);
+            if (t.kind == IndexTail::Kind::NeedMore)
+                break;
+            if (t.kind == IndexTail::Kind::Reject)
+                reject(ParseStatus::Malformed, "bytes after index trailer");
+            if (t.kind != IndexTail::Kind::Data) {
+                sawFooter |= t.footer;
+                indexBytes += t.bytes;
+                pos += t.bytes;
+                ended = t.kind == IndexTail::Kind::End;
+                continue;
+            }
+        }
+        ChunkRef c;
+        size_t used = 0;
+        const ParseStatus st = parseChunk(q, n - pos, c, used, &err);
+        if (st == ParseStatus::NeedMore && !atEnd)
+            break;
+        if (st != ParseStatus::Ok)
+            reject(st, err);
+        if (!seekShard(c.session))
+            fatal("trace: chunk session %u past the last shard",
+                  c.session);
+        cursor->feed(c, q + c.payloadOff);
+        pos += used;
+        sealedChunks_++;
+    }
+    return pos;
+}
+
+bool
+StreamDecoder::seekShard(uint32_t session)
+{
+    while (session >= cursor->end()) {
+        cursor->finish();
+        shards[shard] = std::move(cursor->result());
+        if (++shard == shards.size())
+            return false;
+        cursor.emplace(*engine, shard);
+    }
+    return true;
+}
+
+void
+StreamDecoder::reject(ParseStatus st, const std::string &why)
+{
+    namespace n = obs::names;
+    failure = st == ParseStatus::ChunkCrcMismatch ? n::kReplayCrcFailures
+        : st == ParseStatus::TruncatedChunk ? n::kReplayTruncatedChunks
+        : st == ParseStatus::VersionSkew    ? n::kReplayVersionMismatches
+                                            : nullptr;
+    // Only the trace's end makes a NeedMore final.
+    fatal("trace: %s%s", why.c_str(),
+          st == ParseStatus::TruncatedChunk ? " at stream end" : "");
+}
+
+ReplayReport
+StreamDecoder::finish(double seconds)
+{
+    if (!carry.empty())
+        decode(carry.data(), carry.size(), true);
+    if (!engine)
+        reject(ParseStatus::TruncatedChunk, "truncated trace header");
+    try {
+        seekShard(kIndexSession); // past every shard: seals them all
+    } catch (const FatalError &) {
+        // A session that never reached its end record: cut short.
+        failure = obs::names::kReplayTruncatedChunks;
+        throw;
+    }
+    ReplayRun run;
+    run.indexBytes = indexBytes;
+    run.indexMissing = !sawFooter;
+    run.seconds = seconds;
+    return replayReport(engine->meta(), shards, run);
 }
 
 } // namespace replay

@@ -25,10 +25,11 @@
  *
  * The decode loop lives in ShardCursor, a push-style consumer fed one
  * chunk at a time. Offline replayShard() iterates a loaded TraceFile
- * into a cursor; the detection service (src/serve) feeds the same
- * cursor from socket bytes as they arrive — one decode loop, so
- * ingest-time detection is bit-identical to offline replay by
- * construction, not by parallel maintenance.
+ * into a cursor; StreamDecoder feeds the same cursors from a served
+ * stream's bytes as they arrive (src/serve), ends the trace by the
+ * same rule (parseIndexTail) and reports through the same
+ * replayReport(), so ingest-time detection is bit-identical to
+ * offline replay by construction, not by parallel maintenance.
  *
  * Defensive decoding: the engine validates every PC against the
  * module's instruction index, every function id, and its own shadow
@@ -40,11 +41,13 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/program.h"
 #include "inject/fault.h"
 #include "ipds/detector.h"
+#include "obs/metrics.h"
 #include "replay/reader.h"
 #include "timing/cpu.h"
 
@@ -72,7 +75,37 @@ struct ReplayShardResult
     uint64_t bytes = 0;
     uint64_t events = 0;
     uint64_t snapshots = 0; ///< Tag::Snapshot records seen
+
+    /** Fold in @p o, the next sessions in order: stats merge, alarms
+     *  append, counters add. */
+    void merge(const ReplayShardResult &o);
 };
+
+/** How one replay ran, beyond what its shard results carry. */
+struct ReplayRun
+{
+    uint64_t indexBytes = 0; ///< footer chunk + trailer bytes read
+    bool indexMissing = true;
+    uint64_t seeks = 0, snapshotsUsed = 0, workers = 1;
+    double seconds = 0; ///< wall clock, for events_per_sec
+};
+
+/** A replay's verdict: its shards merged, and its metric block. */
+struct ReplayReport
+{
+    ReplayShardResult total;
+    obs::MetricsRegistry metrics;
+};
+
+/**
+ * Merge @p shards (in shard order) and build the replay metric block:
+ * per shard the session, vm, detector, timing and fault metrics in the
+ * live path's registration order, then the ipds.replay.* meters.
+ * Offline replay and the served Result both report through it.
+ */
+ReplayReport replayReport(const TraceMeta &m,
+                          const std::vector<ReplayShardResult> &shards,
+                          const ReplayRun &run);
 
 class ReplayEngine
 {
@@ -106,22 +139,9 @@ class ReplayEngine
     void replayShard(uint32_t shard, ReplayShardResult &out) const;
 
     /**
-     * Replay chunks [chunkBegin, chunkEnd) of the loaded file that
-     * belong to sessions [begin_session, end_session) into @p out —
-     * the parallel-mode work unit. Chunk payload CRCs deferred by an
-     * indexed load are verified here, inside the worker's span, so
-     * integrity checking parallelizes with decoding. Const and
-     * self-contained: ranges replay concurrently.
-     */
-    void replayChunkRange(size_t chunkBegin, size_t chunkEnd,
-                          uint32_t begin_session,
-                          uint32_t end_session,
-                          ReplayShardResult &out) const;
-
-    /**
      * Push-style decoder for one shard: feed() chunks in file order,
      * then finish() once. The chunk-iteration body of replayShard()
-     * and the service's ingest actors are the same code path. Holds a
+     * and StreamDecoder are the same code path. Holds a
      * reference to the engine; not movable across the engine's
      * lifetime. Throws FatalError on malformed records — after a
      * throw the cursor is poisoned and must be discarded.
@@ -189,6 +209,17 @@ class ReplayEngine
         ReplayShardResult out;
     };
 
+    /**
+     * Feed @p cur the chunks in [chunkBegin, chunkEnd) of the loaded
+     * file that belong to its sessions, finish it and move its result
+     * into @p out: the loop of replayShard(), of a parallel work unit
+     * (a span cursor) and of a seek (a resumed one). Chunk payload
+     * CRCs deferred by an indexed load are verified here, inside the
+     * worker's span, so integrity checking parallelizes with decoding.
+     */
+    void replayChunks(ShardCursor &cur, size_t chunkBegin,
+                      size_t chunkEnd, ReplayShardResult &out) const;
+
   private:
     /** Which record kind may name a pc (set once per instruction). */
     enum class PcKind : uint8_t
@@ -227,6 +258,63 @@ class ReplayEngine
     /** Flat (pc - basePc) / 4 index over every instruction. */
     std::vector<PcEntry> pcIndex;
     uint64_t basePc = 0;
+};
+
+/**
+ * One served trace, decoded as its pieces arrive: each piece goes in
+ * at its absolute offset and is parsed where it lies (only a structure
+ * cut by a piece's end is copied, into a carry the next piece
+ * completes) into the ShardCursor chain of the capture's shard
+ * partition. finish() ends the trace by parseIndexTail()'s rule and
+ * reports through replayReport(), as offline replay does. No sockets,
+ * threads or clocks.
+ */
+class StreamDecoder
+{
+  public:
+    /** @p prog must outlive the decoder. */
+    explicit StreamDecoder(const CompiledProgram &prog) : prog(prog) {}
+    StreamDecoder(const StreamDecoder &) = delete;
+    StreamDecoder &operator=(const StreamDecoder &) = delete;
+
+    /**
+     * Decode @p n bytes that start at trace offset @p at. Bytes before
+     * received() (a resumed client re-sends from its last ack) are
+     * dropped. A gap past it, like any trace defect, is a FatalError
+     * that spends the decoder.
+     */
+    void feed(uint64_t at, const uint8_t *p, size_t n);
+
+    uint64_t received() const { return received_; }
+    /** Bytes and data chunks decoded so far: the resume watermark. */
+    uint64_t sealedBytes() const { return received_ - carry.size(); }
+    uint64_t sealedChunks() const { return sealedChunks_; }
+
+    /** The trace ended: check its tail, seal every shard and report
+     *  (@p seconds of wall clock give events_per_sec). */
+    ReplayReport finish(double seconds);
+
+    /** The ipds.replay.* meter of the last defect thrown (crc_failures,
+     *  truncated_chunks, version_mismatches), or nullptr. */
+    const char *failureCounter() const { return failure; }
+
+  private:
+    /** Parse what @p p holds; returns the bytes consumed. */
+    size_t decode(const uint8_t *p, size_t n, bool atEnd);
+    /** Seal shards until one owns @p session; false past the last. */
+    bool seekShard(uint32_t session);
+    [[noreturn]] void reject(ParseStatus st, const std::string &why);
+
+    const CompiledProgram &prog;
+    std::optional<ReplayEngine> engine; ///< once the header is read
+    std::optional<ReplayEngine::ShardCursor> cursor;
+    uint32_t shard = 0;
+    std::vector<ReplayShardResult> shards;
+    std::vector<uint8_t> carry;
+    uint64_t received_ = 0, sealedChunks_ = 0, indexBytes = 0;
+    bool sawFooter = false;
+    bool ended = false; ///< past an impossible footer: all is index
+    const char *failure = nullptr;
 };
 
 } // namespace replay

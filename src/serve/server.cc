@@ -32,6 +32,9 @@ namespace serve {
 namespace n = obs::names;
 using Clock = std::chrono::steady_clock;
 
+/** Pending connections each listener queues before accept(). */
+constexpr int kListenBacklog = 16;
+
 uint64_t
 alarmDigest(const std::vector<Alarm> &alarms, uint64_t h)
 {
@@ -76,13 +79,14 @@ struct Segment
 /** Per-stream state. The ingest thread frames; one actor decodes. */
 struct Stream
 {
+    explicit Stream(const CompiledProgram &prog) : dec(prog) {}
+
     std::string tenant;
     Clock::time_point started;
 
     // Routing + resume identity. Written once at Hello (before any
     // segment is queued — the queue mutex is the fence), read-only
     // after.
-    const CompiledProgram *prog = nullptr;
     uint64_t moduleHash = 0;
     bool resumable = false; ///< client declared a resume token
     uint64_t resumeToken = 0;
@@ -94,21 +98,8 @@ struct Stream
 
     // Actor-only decode state (the actor invariant — at most one
     // scheduled task per stream — is the only lock it needs).
-    std::vector<uint8_t> tbuf;
-    size_t tpos = 0;
-    bool haveHeader = false;
-    std::unique_ptr<replay::ReplayEngine> engine;
-    std::unique_ptr<replay::ReplayEngine::ShardCursor> cursor;
-    uint32_t curShard = 0;
-    std::vector<replay::ReplayShardResult> shardResults;
-    uint64_t truncatedChunks = 0;
-    uint64_t chunkCrcFailures = 0;
-    bool sawFooter = false;    ///< valid v2 index footer chunk seen
-    uint64_t indexBytes = 0;   ///< footer chunk + trailer bytes
-    uint64_t absNext = 0;      ///< abs offset after the last ingested
-                               ///< byte (actor's dedup watermark)
-    uint64_t sealedChunks = 0; ///< data chunks fed to the cursor
-    uint64_t lastAckChunks = 0; ///< sealedChunks at the last ack
+    replay::StreamDecoder dec;
+    uint64_t lastAckChunks = 0; ///< sealed chunks at the last ack
 
     // Shared queue + flags (guarded by m).
     std::mutex m;
@@ -160,6 +151,18 @@ struct TenantState
     uint64_t frames = 0;
     uint64_t bytes = 0;
     uint64_t stalls = 0;
+
+    /** reg plus the ipds.tenant.* meters. */
+    obs::MetricsRegistry registry() const
+    {
+        obs::MetricsRegistry r = reg;
+        r.add(r.counter(n::kTenantStreams), streams);
+        r.add(r.counter(n::kTenantFrames), frames);
+        r.add(r.counter(n::kTenantBytes), bytes);
+        r.add(r.counter(n::kTenantBackpressureStalls), stalls);
+        r.add(r.counter(n::kTenantAlarms), alarms);
+        return r;
+    }
 };
 
 void
@@ -328,13 +331,14 @@ struct Server::Impl
                     if (seg.eof)
                         finishStream(s);
                     else
-                        ingestSegment(s, seg);
+                        ingestSegment(*s, seg);
                 } catch (const FatalError &e) {
                     const char *w = e.what();
                     failStream(s, w,
                                std::strncmp(w, "transport:", 10) == 0
                                    ? wire::ErrorCode::Transport
-                                   : wire::ErrorCode::Trace);
+                                   : wire::ErrorCode::Trace,
+                               s->dec.failureCounter());
                 }
                 uint64_t us = static_cast<uint64_t>(
                     std::chrono::duration_cast<
@@ -347,321 +351,48 @@ struct Server::Impl
         }
     }
 
-    /** Advance the shard cursor chain to own @p session. */
-    void advanceShard(Stream &s, uint32_t session)
+    /** Decode one segment, then publish the sealed watermark and ack
+     *  it at the configured cadence: a reconnecting client re-feeds
+     *  from it. */
+    void ingestSegment(Stream &s, const Segment &seg)
     {
-        while (session >= s.cursor->end()) {
-            s.cursor->finish();
-            s.shardResults[s.curShard] =
-                std::move(s.cursor->result());
-            s.curShard++;
-            if (s.curShard >= s.engine->shards())
-                fatal("trace: chunk session %u past the last shard",
-                      session);
-            s.cursor = std::make_unique<
-                replay::ReplayEngine::ShardCursor>(*s.engine,
-                                                   s.curShard);
-        }
-    }
-
-    /**
-     * Dedup, ingest, publish. After a resume the client re-feeds
-     * from the last acked watermark, so a segment may overlap bytes
-     * this actor already ingested — absNext (bytes ever appended) is
-     * the authoritative cut: drop the duplicate prefix, ingest the
-     * rest. Bytes enter the detector exactly once, which is what
-     * keeps the final Result bit-identical to an uninterrupted
-     * stream.
-     */
-    void ingestSegment(const std::shared_ptr<Stream> &s,
-                       const Segment &seg)
-    {
-        const uint8_t *p = seg.bytes.data();
-        uint64_t n = seg.bytes.size();
-        const uint64_t start = seg.absStart;
-        if (start > s->absNext)
-            fatal("transport: resume gap — client offset %llu past "
-                  "the received stream (%llu)",
-                  static_cast<unsigned long long>(start),
-                  static_cast<unsigned long long>(s->absNext));
-        if (start + n <= s->absNext) {
-            n = 0; // whole segment already ingested
-        } else if (start < s->absNext) {
-            const uint64_t dup = s->absNext - start;
-            p += dup;
-            n -= dup;
-        }
-        if (n > 0) {
-            s->absNext += n;
-            ingestBytes(*s, p, static_cast<size_t>(n));
-        }
-        if (!s->resumable)
+        s.dec.feed(seg.absStart, seg.bytes.data(), seg.bytes.size());
+        if (!s.resumable)
             return;
-        // Publish the sealed watermark; ack at the configured
-        // cadence so a reconnecting client knows where to re-feed
-        // from.
         bool ack = false;
         uint32_t ackConn = 0;
         {
-            std::lock_guard<std::mutex> lk(s->m);
-            s->pubAbsNext = s->absNext;
-            s->pubSealedBytes =
-                s->absNext - (s->tbuf.size() - s->tpos);
-            s->pubSealedChunks = s->sealedChunks;
-            if (s->sealedChunks - s->lastAckChunks >=
+            std::lock_guard<std::mutex> lk(s.m);
+            s.pubAbsNext = s.dec.received();
+            s.pubSealedBytes = s.dec.sealedBytes();
+            s.pubSealedChunks = s.dec.sealedChunks();
+            if (s.pubSealedChunks - s.lastAckChunks >=
                 cfg.ackEveryChunks) {
-                s->lastAckChunks = s->sealedChunks;
+                s.lastAckChunks = s.pubSealedChunks;
                 ack = true;
-                ackConn = s->connId;
+                ackConn = s.connId;
             }
         }
         if (ack && ackConn != 0)
             postMsg(Msg::Ack, ackConn);
     }
 
-    void ingestBytes(Stream &s, const uint8_t *data, size_t len)
-    {
-        s.tbuf.insert(s.tbuf.end(), data, data + len);
-        std::string err;
-        if (!s.haveHeader) {
-            replay::TraceMeta meta;
-            size_t used = 0;
-            switch (replay::parseHeader(s.tbuf.data(), s.tbuf.size(),
-                                        meta, used, &err)) {
-              case replay::ParseStatus::Ok:
-                s.engine = std::make_unique<replay::ReplayEngine>(
-                    meta, *s.prog); // foreign-module check throws here
-                s.cursor = std::make_unique<
-                    replay::ReplayEngine::ShardCursor>(*s.engine, 0);
-                s.shardResults.resize(meta.shards);
-                s.tpos = used;
-                s.haveHeader = true;
-                break;
-              case replay::ParseStatus::NeedMore:
-                return;
-              default:
-                fatal("trace: %s", err.c_str());
-            }
-        }
-        for (;;) {
-            const uint8_t *p = s.tbuf.data() + s.tpos;
-            const size_t avail = s.tbuf.size() - s.tpos;
-            // v2 index trailer: 16 bytes of metadata after the last
-            // chunk. At a chunk boundary its magic cannot be mistaken
-            // for a chunk header (a payloadLen spelling "IPDS" is far
-            // past every length cap).
-            if (s.engine->meta().version >= 2 && avail >= 8 &&
-                std::memcmp(p, replay::kIndexTrailerMagic, 8) == 0) {
-                if (avail < replay::kIndexTrailerBytes)
-                    break; // wait for the rest (or stream end)
-                s.indexBytes += replay::kIndexTrailerBytes;
-                s.tpos += replay::kIndexTrailerBytes;
-                continue;
-            }
-            replay::ChunkRef c;
-            size_t used = 0;
-            replay::ParseStatus st = replay::parseChunk(
-                p, avail, c, used, &err);
-            if (st == replay::ParseStatus::NeedMore)
-                break;
-            // The v2 index footer chunk is advisory metadata — ingest
-            // detection never reads it, so like the offline scan a
-            // defect in it degrades to "no index", not to a failed
-            // stream.
-            const bool footer = s.engine->meta().version >= 2 &&
-                avail >= 12 &&
-                replay::getU32(p + 8) == replay::kIndexSession;
-            if (footer) {
-                if (st == replay::ParseStatus::Ok) {
-                    if (c.payloadLen % replay::kIndexEntryBytes ==
-                            0 &&
-                        static_cast<uint64_t>(c.events) *
-                                replay::kIndexEntryBytes ==
-                            c.payloadLen)
-                        s.sawFooter = true;
-                    s.indexBytes += used;
-                    s.tpos += used;
-                    continue;
-                }
-                if (st == replay::ParseStatus::ChunkCrcMismatch) {
-                    // parseFail overloaded `used` with the defect
-                    // offset; recompute the skip from the header.
-                    size_t skip =
-                        replay::kChunkHeaderBytes + c.payloadLen;
-                    s.indexBytes += skip;
-                    s.tpos += skip;
-                    continue;
-                }
-                fatal("trace: %s", err.c_str());
-            }
-            if (st == replay::ParseStatus::ChunkCrcMismatch) {
-                s.chunkCrcFailures++;
-                fatal("trace: %s", err.c_str());
-            }
-            if (st != replay::ParseStatus::Ok)
-                fatal("trace: %s", err.c_str());
-            advanceShard(s, c.session);
-            s.cursor->feed(c, s.tbuf.data() + s.tpos + c.payloadOff);
-            s.tpos += used;
-            s.sealedChunks++;
-        }
-        // Keep at most one partial chunk buffered.
-        if (s.tpos > 0) {
-            s.tbuf.erase(s.tbuf.begin(),
-                         s.tbuf.begin() +
-                             static_cast<ptrdiff_t>(s.tpos));
-            s.tpos = 0;
-        }
-    }
-
     void finishStream(const std::shared_ptr<Stream> &s)
     {
-        if (!s->haveHeader) {
-            s->truncatedChunks++;
-            fatal("trace: truncated trace header at stream end");
-        }
-        if (s->tpos != s->tbuf.size()) {
-            // A tail that is recognizably the v2 index (truncated
-            // footer chunk or trailer) is advisory metadata, exactly
-            // as in TraceFile's scan — the stream's data chunks all
-            // landed, so the stream still succeeds (without an index).
-            const uint8_t *p = s->tbuf.data() + s->tpos;
-            const size_t rem = s->tbuf.size() - s->tpos;
-            const bool idxTail = s->engine->meta().version >= 2 &&
-                ((rem >= 8 &&
-                  std::memcmp(p, replay::kIndexTrailerMagic, 8) ==
-                      0) ||
-                 (rem >= 12 &&
-                  replay::getU32(p + 8) == replay::kIndexSession));
-            if (!idxTail) {
-                s->truncatedChunks++;
-                fatal("trace: truncated chunk at stream end");
-            }
-            s->indexBytes += rem;
-        }
-        // Seal the remaining shards; finish() fatals if any owned
-        // session never ran to its end record.
-        for (;;) {
-            s->cursor->finish();
-            s->shardResults[s->curShard] =
-                std::move(s->cursor->result());
-            s->curShard++;
-            if (s->curShard >= s->engine->shards())
-                break;
-            s->cursor = std::make_unique<
-                replay::ReplayEngine::ShardCursor>(*s->engine,
-                                                   s->curShard);
-        }
-
-        const replay::TraceMeta &m = s->engine->meta();
-        double secs = std::chrono::duration<double>(Clock::now() -
-                                                    s->started)
-                          .count();
-
-        // Aggregate in shard order, building the per-stream registry
-        // in EXACTLY the offline-replay registration order — the
-        // bit-identity contract is checked by diffing this text
-        // against Session ReplayPlan metrics.
-        DetectorStats det;
-        TimingStats tim;
-        FaultStats fault;
-        std::vector<Alarm> alarms;
-        obs::MetricsRegistry sreg;
-        uint64_t totalEvents = 0;
-        uint64_t sessionsRun = 0;
-        for (const replay::ReplayShardResult &r : s->shardResults) {
-            det.merge(r.det);
-            tim.merge(r.tim);
-            fault.merge(r.fault);
-            alarms.insert(alarms.end(), r.alarms.begin(),
-                          r.alarms.end());
-            totalEvents += r.events;
-            sessionsRun += r.runs;
-
-            obs::MetricsRegistry reg1;
-            reg1.add(reg1.counter(n::kSessRuns), r.runs);
-            reg1.add(reg1.counter(n::kSessSteps), r.steps);
-            reg1.add(reg1.counter(n::kSessInputEvents),
-                     r.inputEvents);
-            reg1.add(reg1.counter(n::kSessTraceDropped), 0);
-            reg1.add(reg1.counter(n::kVmInstructions),
-                     r.vmInstructions);
-            reg1.add(reg1.counter(n::kVmBlocks), r.vmBlocks);
-            reg1.add(reg1.counter(n::kVmEventBatchFlushes),
-                     r.vmFlushes);
-            if (m.detectorOn())
-                obs::exportDetectorStats(r.det, r.alarms.size(),
-                                         reg1);
-            if (m.hasTiming)
-                obs::exportTimingStats(r.tim, reg1);
-            if (m.faultCaptured())
-                obs::exportFaultStats(r.fault, reg1);
-            reg1.add(reg1.counter(n::kReplayChunks), r.chunks);
-            reg1.add(reg1.counter(n::kReplayBytes), r.bytes);
-            reg1.add(reg1.counter(n::kReplayEvents), r.events);
-            reg1.add(reg1.counter(n::kReplaySnapshotsWritten),
-                     r.snapshots);
-            sreg.merge(reg1);
-        }
-        sreg.add(sreg.counter(n::kReplayBytes),
-                 replay::headerBytes(m) + s->indexBytes);
-        sreg.add(sreg.counter(n::kReplaySessions), m.sessions);
-        sreg.add(sreg.counter(n::kReplayCrcFailures),
-                 s->chunkCrcFailures);
-        sreg.add(sreg.counter(n::kReplayTruncatedChunks),
-                 s->truncatedChunks);
-        sreg.add(sreg.counter(n::kReplayVersionMismatches), 0);
-        sreg.add(sreg.counter(n::kReplayIndexMissing),
-                 s->sawFooter ? 0 : 1);
-        sreg.add(sreg.counter(n::kReplaySeeks), 0);
-        sreg.add(sreg.counter(n::kReplaySnapshotsUsed), 0);
-        sreg.set(sreg.gauge(n::kReplayWorkers), 1);
-        sreg.set(sreg.gauge(n::kReplayEventsPerSec),
-                 secs > 0.0
-                     ? static_cast<uint64_t>(totalEvents / secs)
-                     : 0);
-
+        const double secs =
+            std::chrono::duration<double>(Clock::now() - s->started)
+                .count();
+        replay::ReplayReport rep = s->dec.finish(secs);
+        const std::vector<Alarm> &alarms = rep.total.alarms;
         std::string report = strprintf(
             "ok 1\ntenant %s\nsessions %llu\nalarms %llu\n"
             "alarm_digest 0x%016llx\n",
             s->tenant.c_str(),
-            static_cast<unsigned long long>(sessionsRun),
+            static_cast<unsigned long long>(rep.total.runs),
             static_cast<unsigned long long>(alarms.size()),
             static_cast<unsigned long long>(alarmDigest(alarms)));
-        report += sreg.toText();
-
-        uint64_t frames, bytes, stalls;
-        uint32_t connId;
-        {
-            std::lock_guard<std::mutex> lk(s->m);
-            s->finished = true;
-            s->reportText = std::move(report);
-            frames = s->frames;
-            bytes = s->bytes;
-            stalls = s->stalls;
-            connId = s->connId;
-        }
-        // Merge the tenant aggregate and count the stream BEFORE
-        // posting Done: the Result frame is the client's signal that
-        // the stream landed, so snapshot(), statsz and
-        // streamsCompleted() read after it must already see it.
-        {
-            std::lock_guard<std::mutex> lk(mtx);
-            TenantState &t = tenants[s->tenant];
-            t.streams++;
-            t.det.merge(det);
-            t.tim.merge(tim);
-            t.fault.merge(fault);
-            t.alarms += alarms.size();
-            t.alarmDigest = alarmDigest(alarms, t.alarmDigest);
-            t.reg.merge(sreg);
-            t.frames += frames;
-            t.bytes += bytes;
-            t.stalls += stalls;
-            completed++;
-            reg.add(hCompleted);
-        }
-        postVerdict(Msg::Done, connId);
+        report += rep.metrics.toText();
+        land(s, std::move(report), &rep, nullptr);
     }
 
     /**
@@ -679,9 +410,25 @@ struct Server::Impl
         cv.notify_all();
     }
 
+    /** Fail @p s with a typed Error, counted under @p counter. */
     void failStream(const std::shared_ptr<Stream> &s,
-                    const std::string &why,
-                    wire::ErrorCode code = wire::ErrorCode::Trace)
+                    const std::string &why, wire::ErrorCode code,
+                    const char *counter)
+    {
+        land(s, wire::taggedError(code, why), nullptr, counter);
+    }
+
+    /**
+     * Land @p s's verdict, once: @p rep for a Result, or a failure
+     * counted under @p counter, the ipds.replay.* meter of its defect
+     * (a chunk CRC, a truncation, a version skew) or nullptr. The
+     * tenant aggregate and the stream count land BEFORE Done/Fail is
+     * posted: the Result or Error frame is the client's signal that
+     * the stream landed, so snapshot(), statsz and streamsCompleted()
+     * read after it must already see it.
+     */
+    void land(const std::shared_ptr<Stream> &s, std::string text,
+              const replay::ReplayReport *rep, const char *counter)
     {
         uint64_t frames, bytes, stalls;
         uint32_t connId;
@@ -689,28 +436,35 @@ struct Server::Impl
             std::lock_guard<std::mutex> lk(s->m);
             if (s->failed || s->finished)
                 return;
-            s->failed = true;
-            s->reportText = wire::taggedError(code, why);
+            (rep ? s->finished : s->failed) = true;
+            s->reportText = std::move(text);
             frames = s->frames;
             bytes = s->bytes;
             stalls = s->stalls;
             connId = s->connId;
         }
-        // Same shape as finishStream: merge and count first (an
-        // Error frame implies the meters landed), settle after the
-        // post so a woken waiter's Stop cannot overtake the Fail.
         {
             std::lock_guard<std::mutex> lk(mtx);
-            if (!s->tenant.empty()) {
-                TenantState &t = tenants[s->tenant];
-                t.frames += frames;
-                t.bytes += bytes;
-                t.stalls += stalls;
+            TenantState &t = tenants[s->tenant];
+            t.frames += frames;
+            t.bytes += bytes;
+            t.stalls += stalls;
+            if (counter)
+                t.reg.add(t.reg.counter(counter));
+            if (rep) {
+                const std::vector<Alarm> &alarms = rep->total.alarms;
+                t.streams++;
+                t.det.merge(rep->total.det);
+                t.tim.merge(rep->total.tim);
+                t.fault.merge(rep->total.fault);
+                t.alarms += alarms.size();
+                t.alarmDigest = alarmDigest(alarms, t.alarmDigest);
+                t.reg.merge(rep->metrics);
             }
-            failedStreams++;
-            reg.add(hFailed);
+            (rep ? completed : failedStreams)++;
+            reg.add(rep ? hCompleted : hFailed);
         }
-        postVerdict(Msg::Fail, connId);
+        postVerdict(rep ? Msg::Done : Msg::Fail, connId);
     }
 
     // ---- ingest thread -----------------------------------------------
@@ -787,7 +541,8 @@ struct Server::Impl
                 failStream(s,
                            "transport: connection dropped "
                            "mid-stream (truncated)",
-                           wire::ErrorCode::Transport);
+                           wire::ErrorCode::Transport,
+                           n::kReplayTruncatedChunks);
             }
         }
         close(it->second.fd);
@@ -896,11 +651,10 @@ struct Server::Impl
                     const CompiledProgram *prog, uint64_t moduleHash,
                     uint64_t resumeToken)
     {
-        c.stream = std::make_shared<Stream>();
+        c.stream = std::make_shared<Stream>(*prog);
         c.stream->connId = c.id;
         c.stream->tenant = std::move(tenant);
         c.stream->started = Clock::now();
-        c.stream->prog = prog;
         c.stream->moduleHash = moduleHash;
         c.stream->resumeToken = resumeToken;
         c.stream->resumable = resumeToken != 0;
@@ -1059,7 +813,7 @@ struct Server::Impl
                         noteBadFrame(crc, oversized);
                         failStream(c.stream,
                                    std::string("transport: ") + why,
-                                   wire::ErrorCode::Transport);
+                                   wire::ErrorCode::Transport, nullptr);
                     } else {
                         rejectConn(c, wire::ErrorCode::Transport,
                                    std::string("transport: ") + why,
@@ -1175,7 +929,8 @@ struct Server::Impl
                                    "transport: resume grace "
                                    "expired after a dropped "
                                    "connection (truncated)",
-                                   wire::ErrorCode::Transport);
+                                   wire::ErrorCode::Transport,
+                                   n::kReplayTruncatedChunks);
                     } else {
                         ++it;
                     }
@@ -1289,7 +1044,8 @@ struct Server::Impl
                 failStream(kv.second,
                            "transport: server stopped before the "
                            "stream could resume (truncated)",
-                           wire::ErrorCode::Transport);
+                           wire::ErrorCode::Transport,
+                           n::kReplayTruncatedChunks);
         }
         // Best-effort drain of queued replies — a Result/Error frame
         // that hit EAGAIN just before Stop must still reach its
@@ -1334,6 +1090,15 @@ struct Server::Impl
             all.push_back(kv.first);
         for (uint32_t id : all)
             closeConn(id);
+        closeListeners();
+        std::lock_guard<std::mutex> lk(mtx);
+        stopped = true;
+        cv.notify_all();
+    }
+
+    /** Close the listeners, removing the unix socket file. */
+    void closeListeners()
+    {
         if (listenFd >= 0) {
             close(listenFd);
             listenFd = -1;
@@ -1343,9 +1108,6 @@ struct Server::Impl
             close(tcpFd);
             tcpFd = -1;
         }
-        std::lock_guard<std::mutex> lk(mtx);
-        stopped = true;
-        cv.notify_all();
     }
 
     // ---- statsz ------------------------------------------------------
@@ -1356,16 +1118,8 @@ struct Server::Impl
         std::string out = "# ipds_serve statsz\n";
         out += reg.toText();
         for (const auto &kv : tenants) {
-            const TenantState &t = kv.second;
             out += strprintf("# tenant %s\n", kv.first.c_str());
-            obs::MetricsRegistry tr = t.reg;
-            tr.add(tr.counter(n::kTenantStreams), t.streams);
-            tr.add(tr.counter(n::kTenantFrames), t.frames);
-            tr.add(tr.counter(n::kTenantBytes), t.bytes);
-            tr.add(tr.counter(n::kTenantBackpressureStalls),
-                   t.stalls);
-            tr.add(tr.counter(n::kTenantAlarms), t.alarms);
-            out += tr.toText();
+            out += kv.second.registry().toText();
         }
         return out;
     }
@@ -1443,7 +1197,7 @@ Server::start()
             fatal("serve: cannot bind '%s': %s",
                   im.cfg.socketPath.c_str(), std::strerror(e));
         }
-        if (listen(fd, im.cfg.listenBacklog) < 0) {
+        if (listen(fd, kListenBacklog) < 0) {
             int e = errno;
             close(fd);
             fatal("serve: listen(): %s", std::strerror(e));
@@ -1454,11 +1208,7 @@ Server::start()
 
     if (!im.cfg.tcpHost.empty()) {
         auto bail = [&im](const char *what, int e) {
-            if (im.listenFd >= 0) {
-                close(im.listenFd);
-                im.listenFd = -1;
-                unlink(im.cfg.socketPath.c_str());
-            }
+            im.closeListeners();
             fatal("serve: %s: %s", what, std::strerror(e));
         };
         sockaddr_in addr{};
@@ -1466,11 +1216,7 @@ Server::start()
         addr.sin_port = htons(im.cfg.tcpPort);
         if (inet_pton(AF_INET, im.cfg.tcpHost.c_str(),
                       &addr.sin_addr) != 1) {
-            if (im.listenFd >= 0) {
-                close(im.listenFd);
-                im.listenFd = -1;
-                unlink(im.cfg.socketPath.c_str());
-            }
+            im.closeListeners();
             fatal("serve: bad TCP address '%s' (IPv4 dotted quad "
                   "expected)",
                   im.cfg.tcpHost.c_str());
@@ -1486,7 +1232,7 @@ Server::start()
             close(fd);
             bail("cannot bind TCP listener", e);
         }
-        if (listen(fd, im.cfg.listenBacklog) < 0) {
+        if (listen(fd, kListenBacklog) < 0) {
             int e = errno;
             close(fd);
             bail("listen()", e);
@@ -1503,15 +1249,7 @@ Server::start()
     int p[2];
     if (pipe(p) < 0) {
         int e = errno;
-        if (im.listenFd >= 0) {
-            close(im.listenFd);
-            im.listenFd = -1;
-            unlink(im.cfg.socketPath.c_str());
-        }
-        if (im.tcpFd >= 0) {
-            close(im.tcpFd);
-            im.tcpFd = -1;
-        }
+        im.closeListeners();
         fatal("serve: pipe(): %s", std::strerror(e));
     }
     im.pipeRd = p[0];
@@ -1578,14 +1316,7 @@ Server::snapshot() const
         s.det = kv.second.det;
         s.tim = kv.second.tim;
         s.fault = kv.second.fault;
-        s.reg = kv.second.reg;
-        s.reg.add(s.reg.counter(n::kTenantStreams),
-                  kv.second.streams);
-        s.reg.add(s.reg.counter(n::kTenantFrames), kv.second.frames);
-        s.reg.add(s.reg.counter(n::kTenantBytes), kv.second.bytes);
-        s.reg.add(s.reg.counter(n::kTenantBackpressureStalls),
-                  kv.second.stalls);
-        s.reg.add(s.reg.counter(n::kTenantAlarms), kv.second.alarms);
+        s.reg = kv.second.registry();
         out.push_back(std::move(s));
     }
     return out; // std::map iteration is already name-sorted

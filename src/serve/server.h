@@ -29,11 +29,12 @@
  *  - Each stream is an ACTOR: at most one worker task processes its
  *    queue at a time (chunks decode strictly in arrival order), while
  *    different streams decode concurrently on the shared ThreadPool.
- *    The decode loop is ReplayEngine::ShardCursor — the same code
- *    offline replay runs — so ingest-time alarms, DetectorStats and
- *    per-tenant metrics are bit-identical to a ReplayPlan over the
- *    same bytes (modulo the transport-only ipds.tenant.* meters and
- *    the events_per_sec gauge, which measures wall-clock).
+ *    A stream decodes through one replay::StreamDecoder: the
+ *    ShardCursor loop, end-of-trace rule and report that offline
+ *    replay runs, so ingest-time alarms, DetectorStats and per-tenant
+ *    metrics are bit-identical to a ReplayPlan over the same bytes
+ *    (modulo the transport-only ipds.tenant.* meters and the
+ *    events_per_sec gauge, which measures wall-clock).
  *  - Admission control mirrors the RequestRing design: bounded
  *    per-stream queue; when a client outruns its actor the server
  *    PAUSES reading that one socket (counted, ipds.serve.
@@ -44,13 +45,16 @@
  *    done/fail/resume messages; requestStop() posts stop. The ingest
  *    thread is the only writer to any socket.
  *
- * Failure taxonomy is the reader satellite's retry-vs-reject
- * contract end to end: a short frame at connection drop or a trace
- * that ends mid-chunk is truncation (stream failed, counted in
- * truncated meters), a frame/chunk CRC mismatch is corruption
- * (rejected with an Error frame naming "CRC"), an oversized frame is
- * rejected before buffering, and a foreign-module trace is rejected
- * by the same content-hash check offline replay applies.
+ * Failure taxonomy is the reader's retry-vs-reject contract end to
+ * end: a connection drop mid-stream or a trace that ends mid-chunk is
+ * truncation, a chunk CRC mismatch is corruption and a header of
+ * another format version a version mismatch; each fails its stream
+ * and adds 1 to the tenant's ipds.replay.truncated_chunks,
+ * crc_failures or version_mismatches. A frame CRC mismatch is
+ * corruption too (an Error frame naming "CRC"; counted in
+ * ipds.serve.frame_crc_failures), an oversized frame is rejected
+ * before buffering, and a foreign-module trace is rejected by the
+ * same content-hash check offline replay applies.
  */
 
 #include <cstdint>
@@ -87,7 +91,6 @@ struct ServerConfig
     size_t maxFrameBytes = wire::kDefaultMaxFrameBytes;
     /** Per-stream ingest segments in flight before pausing reads. */
     size_t pendingChunkCap = 64;
-    int listenBacklog = 16;
     /**
      * Send a ChunkAck after this many newly sealed chunks on streams
      * that declared a resume token (Hello v2). The ack is the

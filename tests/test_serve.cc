@@ -58,6 +58,15 @@ readBytes(const std::string &path)
                                 std::istreambuf_iterator<char>());
 }
 
+void
+writeBytes(const std::string &path, const std::vector<uint8_t> &b)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(b.data()),
+              static_cast<std::streamsize>(b.size()));
+    ASSERT_TRUE(out.good()) << path;
+}
+
 /** The replay suite's correlated-privilege-flag program: tampering
  *  `role` after input #2 walks an infeasible path every iteration. */
 const char *kLoopProgram = R"(
@@ -157,6 +166,35 @@ statszCounter(const std::string &statsz, const std::string &name)
             return v;
     }
     return 0;
+}
+
+/** A tenant's ipds.replay.{crc_failures, truncated_chunks,
+ *  version_mismatches} in snapshot() and in /statsz, which must agree. */
+std::vector<uint64_t>
+failureCounts(const serve::Server &srv, const std::string &tenant)
+{
+    const char *names[] = {obs::names::kReplayCrcFailures,
+                           obs::names::kReplayTruncatedChunks,
+                           obs::names::kReplayVersionMismatches};
+    const std::string statsz = srv.statszText();
+    const size_t at = statsz.find("# tenant " + tenant + "\n");
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no /statsz section for tenant " << tenant;
+        return {};
+    }
+    const size_t next = statsz.find("# tenant ", at + 1);
+    const std::string section = statsz.substr(
+        at, next == std::string::npos ? next : next - at);
+    std::vector<uint64_t> out;
+    for (const serve::TenantSnapshot &t : srv.snapshot())
+        if (t.name == tenant)
+            for (const char *name : names) {
+                obs::MetricHandle h = t.reg.find(name);
+                uint64_t v = h == obs::kNoMetric ? 0 : t.reg.value(h);
+                EXPECT_EQ(v, statszCounter(section, name)) << name;
+                out.push_back(v);
+            }
+    return out;
 }
 
 /** Metric lines of a text blob, minus the wall-clock gauge. */
@@ -721,6 +759,101 @@ TEST(Service, InterleavedTenantsOnTheSameWireStaySeparate)
     EXPECT_GT(rb.alarms, 0u);
 }
 
+TEST(Service, EveryGoldenMutantGetsOfflineReplaysVerdict)
+{
+    // Every truncation, single-bit flip and repeated tail of the v2
+    // golden trace, served and replayed offline: both accept or both
+    // reject, and where both accept their metric lines match. The
+    // frame size varies, so every structure is cut at many points.
+    const std::vector<uint8_t> golden =
+        readBytes(std::string(IPDS_TEST_DATA_DIR) + "/golden_v2.trc");
+    ASSERT_GT(golden.size(), replay::kIndexTrailerBytes);
+    CompiledProgram prog = compileAndAnalyze(kLoopProgram, "svc_loop");
+    const size_t indexTail = golden.size() -
+        replay::getU64(golden.data() + golden.size() - 8);
+
+    // Each mutant streams as tenant "cut", "flip" or "repeat".
+    struct Mutant
+    {
+        std::string tenant, what;
+        std::vector<uint8_t> bytes;
+    };
+    std::vector<Mutant> mutants;
+    for (size_t n = 0; n < golden.size(); n++)
+        mutants.push_back(
+            {"cut", "cut to " + std::to_string(n) + " bytes",
+             std::vector<uint8_t>(golden.begin(), golden.begin() + n)});
+    for (size_t bit = 0; bit < 8 * golden.size(); bit++) {
+        std::vector<uint8_t> m = golden;
+        m[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        mutants.push_back(
+            {"flip", "bit " + std::to_string(bit) + " flipped", m});
+    }
+    for (size_t k = 1; k <= indexTail; k++) {
+        std::vector<uint8_t> m = golden;
+        m.insert(m.end(), golden.end() - k, golden.end());
+        mutants.push_back(
+            {"repeat", "last " + std::to_string(k) + " bytes repeated",
+             m});
+    }
+
+    serve::ServerConfig cfg;
+    cfg.socketPath = tmpPath("mutants.sock");
+    serve::Server srv(prog, cfg);
+    srv.start();
+    const std::string path = tmpPath("mutant.trc");
+    const size_t frameBytes[] = {0, 1, 5, 16, 17, 64};
+    size_t disagree = 0, accepted = 0, rejectedCuts = 0;
+    for (size_t i = 0; i < mutants.size(); i++) {
+        const std::vector<uint8_t> &m = mutants[i].bytes;
+        writeBytes(path, m);
+        bool offOk = true;
+        std::string offLines;
+        try {
+            Session off =
+                Session::builder().program(prog).plan(ReplayPlan(path))
+                    .build();
+            off.run();
+            offLines = metricLines(off.metricsText());
+        } catch (const FatalError &) {
+            offOk = false;
+        }
+
+        serve::Client c;
+        connectRetry(c, cfg.socketPath);
+        c.helloV2(mutants[i].tenant,
+                  replay::moduleContentHash(prog.mod), i + 1);
+        c.sendTraceBytes(m.data(), m.size(), frameBytes[i % 6]);
+        serve::StreamResult r = c.end();
+        accepted += r.ok && offOk;
+        rejectedCuts += !r.ok && mutants[i].tenant == "cut";
+        if (r.ok != offOk || (r.ok && metricLines(r.text) != offLines)) {
+            disagree++;
+            ADD_FAILURE() << mutants[i].what << ": offline "
+                          << (offOk ? "accepts" : "rejects")
+                          << ", served:\n" << r.text;
+        }
+    }
+    srv.stopAndJoin();
+    std::remove(path.c_str());
+    EXPECT_EQ(disagree, 0u) << "of " << mutants.size() << " mutants";
+    // Index-tail defects are advisory, so some mutants must replay.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, mutants.size());
+    // Every rejected cut is one truncation; each of the 32 flips of
+    // the header's version word is a version mismatch; a repeated
+    // tail is none of the three.
+    EXPECT_GT(rejectedCuts, 0u);
+    EXPECT_EQ(failureCounts(srv, "cut"),
+              (std::vector<uint64_t>{0, rejectedCuts, 0}));
+    const std::vector<uint64_t> flips = failureCounts(srv, "flip");
+    ASSERT_EQ(flips.size(), 3u);
+    EXPECT_GT(flips[0], 0u);
+    EXPECT_EQ(flips[2], 32u);
+    EXPECT_EQ(failureCounts(srv, "repeat"),
+              (std::vector<uint64_t>{0, 0, 0}));
+}
+
 // ------------------------------------------------- failure taxonomy
 
 TEST(Service, PartialFrameAtDropFailsTheStreamAsTruncation)
@@ -759,6 +892,8 @@ TEST(Service, PartialFrameAtDropFailsTheStreamAsTruncation)
     EXPECT_EQ(srv.streamsFailed(), 1u);
     EXPECT_NE(srv.statszText().find("ipds.serve.streams_failed"),
               std::string::npos);
+    EXPECT_EQ(failureCounts(srv, "t"),
+              (std::vector<uint64_t>{0, 1, 0}));
 }
 
 TEST(Service, OversizedFrameIsRejectedBeforeBuffering)
@@ -821,6 +956,10 @@ TEST(Service, ChunkCrcMismatchInsideValidFramesRejectsTheStream)
     std::string path = capture(prog, "ccrc", 1, false);
     std::vector<uint8_t> bytes = readBytes(path);
     std::remove(path.c_str());
+    // One more input: a header of a later format version (read before
+    // the header CRC, so it is a version mismatch, not corruption).
+    std::vector<uint8_t> skewed = bytes;
+    replay::putU32(skewed.data() + 8, replay::kTraceVersion + 1);
     // Payload byte of the last data chunk (the trailer's last 8 bytes
     // locate the index footer — corrupting past it would only degrade
     // the advisory index, not reject the stream).
@@ -837,10 +976,25 @@ TEST(Service, ChunkCrcMismatchInsideValidFramesRejectsTheStream)
     c.helloV2("t", replay::moduleContentHash(prog.mod));
     c.sendTraceBytes(bytes.data(), bytes.size());
     serve::StreamResult r = c.end();
+    serve::Client cs;
+    connectRetry(cs, cfg.socketPath);
+    cs.helloV2("skew", replay::moduleContentHash(prog.mod));
+    cs.sendTraceBytes(skewed.data(), skewed.size());
+    serve::StreamResult rs = cs.end();
     srv.stopAndJoin();
 
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.text.find("CRC"), std::string::npos) << r.text;
+    EXPECT_FALSE(rs.ok);
+    EXPECT_EQ(rs.errorCode, "trace") << rs.text;
+    EXPECT_NE(rs.text.find("format version"), std::string::npos)
+        << rs.text;
+    // Each counted in its tenant's replay meters: {crc_failures,
+    // truncated_chunks, version_mismatches}.
+    EXPECT_EQ(failureCounts(srv, "t"),
+              (std::vector<uint64_t>{1, 0, 0}));
+    EXPECT_EQ(failureCounts(srv, "skew"),
+              (std::vector<uint64_t>{0, 0, 1}));
 }
 
 TEST(Service, TruncatedTraceAtCleanFrameBoundaryIsTruncation)
@@ -870,6 +1024,8 @@ TEST(Service, TruncatedTraceAtCleanFrameBoundaryIsTruncation)
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.text.find("truncated"), std::string::npos) << r.text;
     EXPECT_EQ(r.text.find("CRC"), std::string::npos) << r.text;
+    EXPECT_EQ(failureCounts(srv, "t"),
+              (std::vector<uint64_t>{0, 1, 0}));
 }
 
 TEST(Service, ForeignModuleTraceIsRejected)
