@@ -86,13 +86,12 @@ void
 runLive(const CompiledProgram &prog,
         const std::shared_ptr<const DecodedProgram> &dec,
         const std::vector<std::string> &inputs, VmEngine engine,
-        bool batched, Detector &det)
+        Detector &det)
 {
     Vm vm(prog.mod, dec);
     vm.setInputs(inputs);
     vm.setRecordTrace(false);
     vm.setEngine(engine);
-    vm.setBatchedDelivery(batched);
     det.reset();
     vm.addObserver(&det);
     vm.run();
@@ -208,11 +207,9 @@ main(int argc, char **argv)
         // capture itself ran on the default threaded engine).
         DetectorStats switchStats;
         size_t switchAlarms = 0;
-        for (bool batched : {false, true}) {
-            runLive(prog, dec, wl.benignInputs,
-                    batched ? VmEngine::Threaded : VmEngine::Switch,
-                    batched, det);
-            if (!batched) {
+        for (VmEngine e : {VmEngine::Switch, VmEngine::Threaded}) {
+            runLive(prog, dec, wl.benignInputs, e, det);
+            if (e == VmEngine::Switch) {
                 switchStats = det.stats();
                 switchAlarms = det.alarms().size();
             } else if (!(det.stats() == switchStats) ||
@@ -236,13 +233,13 @@ main(int argc, char **argv)
             auto t0 = std::chrono::steady_clock::now();
             for (uint32_t r = 0; r < repeat; r++)
                 runLive(prog, dec, wl.benignInputs, VmEngine::Switch,
-                        false, det);
+                        det);
             secs[0] += seconds(t0);
 
             t0 = std::chrono::steady_clock::now();
             for (uint32_t r = 0; r < repeat; r++)
                 runLive(prog, dec, wl.benignInputs,
-                        VmEngine::Threaded, true, det);
+                        VmEngine::Threaded, det);
             secs[1] += seconds(t0);
 
             t0 = std::chrono::steady_clock::now();

@@ -1,13 +1,12 @@
 /**
  * @file
  * VM engine ablation: instructions/second through the full protected
- * pipeline (VM + detector attached), comparing the three execution
- * configurations:
+ * pipeline (VM + detector attached), comparing the two engines:
  *
- *   switch            golden-reference big-switch interpreter
- *   threaded          predecoded blocks + threaded dispatch,
- *                     per-event observer delivery
- *   threaded+batched  same core, per-block EventBatch delivery
+ *   switch    golden-reference big-switch interpreter, per-event
+ *             observer delivery
+ *   threaded  predecoded blocks + threaded dispatch, per-block
+ *             EventBatch delivery
  *
  * Each configuration runs every workload's benign session repeatedly
  * (a fresh Vm per run, sharing one predecode handle per workload —
@@ -23,7 +22,7 @@
  * engines ("equivalent" in the JSON).
  *
  * Emits machine-readable JSON (instructions/sec per workload per
- * configuration + speedups), default BENCH_vm.json.
+ * engine + speedups), default BENCH_vm.json.
  *
  * Usage: abl_vm [--repeat N] [--quick] [--json PATH]
  */
@@ -51,13 +50,11 @@ struct EngineCfg
 {
     const char *name;
     VmEngine engine;
-    bool batched;
 };
 
 constexpr EngineCfg kConfigs[] = {
-    {"switch", VmEngine::Switch, false},
-    {"threaded", VmEngine::Threaded, false},
-    {"threaded_batched", VmEngine::Threaded, true},
+    {"switch", VmEngine::Switch},
+    {"threaded", VmEngine::Threaded},
 };
 constexpr size_t kNumCfg = std::size(kConfigs);
 
@@ -79,21 +76,9 @@ runOnce(const CompiledProgram &prog,
     vm.setInputs(inputs);
     vm.setRecordTrace(record_trace);
     vm.setEngine(cfg.engine);
-    vm.setBatchedDelivery(cfg.batched);
     det.reset();
     vm.addObserver(&det);
     return vm.run();
-}
-
-bool
-sameStats(const DetectorStats &a, const DetectorStats &b)
-{
-    return a.branchesSeen == b.branchesSeen &&
-        a.checksEnqueued == b.checksEnqueued &&
-        a.updatesApplied == b.updatesApplied &&
-        a.actionsApplied == b.actionsApplied &&
-        a.framesPushed == b.framesPushed &&
-        a.maxStackDepth == b.maxStackDepth;
 }
 
 struct Row
@@ -135,13 +120,12 @@ main(int argc, char **argv)
 
     setQuiet(true);
     std::printf("=== VM engine ablation: instructions/second, "
-                "switch vs threaded vs threaded+batched ===\n");
+                "switch vs threaded ===\n");
     std::printf("(benign session per workload, %u runs per trial, "
                 "best of %u trials, detector attached)\n\n",
                 repeat, kTrials);
-    std::printf("%-10s %10s %14s %14s %16s %9s\n", "benchmark",
-                "insts", "switch-i/s", "threaded-i/s", "batched-i/s",
-                "speedup");
+    std::printf("%-10s %10s %14s %14s %9s\n", "benchmark", "insts",
+                "switch-i/s", "threaded-i/s", "speedup");
 
     std::vector<Row> rows;
     bool mismatch = false;
@@ -171,7 +155,7 @@ main(int argc, char **argv)
             if (r.exit != golden.exit || r.output != golden.output ||
                 r.steps != golden.steps ||
                 !(r.branchTrace == golden.branchTrace) ||
-                !sameStats(det.stats(), goldenStats) ||
+                !(det.stats() == goldenStats) ||
                 det.alarms().size() != goldenAlarms) {
                 std::fprintf(stderr,
                              "MISMATCH: %s diverges on %s\n",
@@ -183,7 +167,7 @@ main(int argc, char **argv)
         // Timed runs: trace recording off (deployment configuration);
         // fuel stays at the default so no run is clipped. Configs are
         // interleaved WITHIN each trial so frequency drift and
-        // scheduler noise land on all three equally; best-of-trials
+        // scheduler noise land on both equally; best-of-trials
         // then approaches each config's true floor.
         Row row;
         row.name = wl.name;
@@ -203,25 +187,20 @@ main(int argc, char **argv)
             double total = double(repeat) * double(golden.steps);
             row.ips[c] = best[c] > 0 ? total / best[c] : 0;
         }
-        std::printf("%-10s %10llu %14.0f %14.0f %16.0f %8.2fx\n",
+        std::printf("%-10s %10llu %14.0f %14.0f %8.2fx\n",
                     row.name.c_str(),
                     static_cast<unsigned long long>(row.insts),
-                    row.ips[0], row.ips[1], row.ips[2],
-                    row.speedup(kNumCfg - 1));
+                    row.ips[0], row.ips[1], row.speedup(1));
         rows.push_back(std::move(row));
     }
 
-    // Geomean speedup of the full overhaul (threaded+batched vs
-    // switch); the per-config geomeans land in the JSON.
-    double geo[kNumCfg] = {};
-    for (size_t c = 0; c < kNumCfg; c++) {
-        double g = 1.0;
-        for (const Row &r : rows)
-            g *= r.speedup(c);
-        geo[c] = rows.empty() ? 0.0 : std::pow(g, 1.0 / rows.size());
-    }
-    std::printf("%-10s %10s %14s %14s %16s %8.2fx\n", "geomean", "-",
-                "-", "-", "-", geo[kNumCfg - 1]);
+    // Geomean speedup of the threaded engine over the switch engine.
+    double g = 1.0;
+    for (const Row &r : rows)
+        g *= r.speedup(1);
+    const double geo = rows.empty() ? 0.0 : std::pow(g, 1.0 / rows.size());
+    std::printf("%-10s %10s %14s %14s %8.2fx\n", "geomean", "-", "-",
+                "-", geo);
 
     FILE *js = std::fopen(jsonPath.c_str(), "w");
     if (!js) {
@@ -236,20 +215,16 @@ main(int argc, char **argv)
         std::fprintf(js,
                      "    {\"name\": \"%s\", \"insts\": %llu, "
                      "\"switch_ips\": %.0f, \"threaded_ips\": %.0f, "
-                     "\"threaded_batched_ips\": %.0f, "
                      "\"speedup\": %.3f}%s\n",
                      r.name.c_str(),
                      static_cast<unsigned long long>(r.insts),
-                     r.ips[0], r.ips[1], r.ips[2],
-                     r.speedup(kNumCfg - 1),
+                     r.ips[0], r.ips[1], r.speedup(1),
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(js,
-                 "  ],\n  \"geomean_speedup_threaded\": %.3f,\n"
-                 "  \"geomean_speedup\": %.3f,\n"
+                 "  ],\n  \"geomean_speedup\": %.3f,\n"
                  "  \"equivalent\": %s\n}\n",
-                 geo[1], geo[kNumCfg - 1],
-                 mismatch ? "false" : "true");
+                 geo, mismatch ? "false" : "true");
     bool writeFailed = std::ferror(js) != 0;
     writeFailed |= std::fclose(js) != 0;
     if (writeFailed) {

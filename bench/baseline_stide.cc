@@ -45,7 +45,7 @@ traceOf(const CompiledProgram &prog,
     SyscallTrace st;
     vm.addObserver(&st);
     if (tamper)
-        vm.setTamper(*tamper);
+        vm.addTamper(*tamper);
     RunResult r = vm.run();
     Traces out;
     out.calls = st.sequence();

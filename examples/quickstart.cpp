@@ -89,7 +89,7 @@ main()
         Session s = Session::builder()
                         .program(prog)
                         .inputs({"7", "x", "x", "x"})
-                        .plan(ExecPlan().tamper(spec))
+                        .plan(ExecPlan().addTamper(spec))
                         .build();
         s.run();
         std::printf("attacked run (corrupted role=1 @ input #2):\n%s",

@@ -113,6 +113,11 @@ main(int argc, char **argv)
     if (!inputsCsv.empty())
         inputs = splitCommas(inputsCsv);
 
+    if (attackAt == 0) {
+        std::fprintf(stderr,
+                     "run_protected: --at counts input events from 1\n");
+        return 1;
+    }
     std::string attackVar;
     int64_t attackValue = 0;
     if (!attackSpec.empty()) {
@@ -209,7 +214,7 @@ main(int argc, char **argv)
             spec.bytes.resize(8);
             for (int b = 0; b < 8; b++)
                 spec.bytes[b] = static_cast<uint8_t>(v >> (8 * b));
-            exec.tamper(spec);
+            exec.addTamper(spec);
             std::fprintf(stderr,
                          "[ipds] armed attack: %s=%lld after input "
                          "#%u\n", attackVar.c_str(),

@@ -126,13 +126,14 @@ runCampaign(const CompiledProgram &prog,
         spec.seed = seed;
         spec.afterInputEvent =
             1 + static_cast<uint32_t>(trigRng.below(maxEvent));
-        vm.setTamper(spec);
+        vm.addTamper(spec);
 
         RunResult r = vm.run();
         AttackOutcome out;
-        out.fired = r.tamper.fired;
+        out.fired = !r.faultTampers.empty();
         out.exit = r.exit;
-        out.tamper = r.tamper;
+        if (out.fired)
+            out.tamper = std::move(r.faultTampers.front());
         out.cfChanged = !(r.branchTrace == golden);
         out.detected = det.alarmed();
         if (out.detected)

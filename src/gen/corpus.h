@@ -15,7 +15,7 @@
  *  - diffOne(): the differential fuzzing oracle. One seed, many
  *    independent implementations of "run this program", all required
  *    to agree bit-for-bit:
- *      (a) switch vs threaded-batched VM engines — output, exit,
+ *      (a) switch vs threaded VM engines — output, exit,
  *          steps, input events, branch trace;
  *      (b) optimized Detector vs ReferenceDetector attached to the
  *          SAME run — alarms and statistics;

@@ -38,9 +38,8 @@
  * Recipes name entry-function locals; armRecipe() resolves them
  * through Vm::entryLocalAddr and arms them via Vm::addTamper, whose
  * input-event triggers fire in the engine-shared builtin path — so a
- * recipe run is bit-identical across switch/threaded/batched
- * execution (the differential harness in src/gen/corpus.h proves it
- * per seed).
+ * recipe run is bit-identical across the switch and threaded engines
+ * (the differential harness in src/gen/corpus.h proves it per seed).
  */
 
 #include <cstdint>

@@ -16,23 +16,25 @@
  *
  * Fault classes and where they land:
  *
- *  - memory corruption: step-triggered Vm tampers (Vm::addTamper),
- *    fired at identical instruction boundaries by both VM engines;
+ *  - memory corruption: step-triggered Vm tampers (Vm::addTamper, the
+ *    one tamper schedule attacks and recipes use too), fired at
+ *    identical instruction boundaries by both VM engines;
  *  - BSV flips: Detector::injectBsvState / the ReferenceDetector
  *    mirror, applied to every registered detector with the SAME drawn
  *    slot and state so differential oracles stay in lockstep;
  *  - ring drop/duplicate: RequestRing::setFault, decided per popped
  *    request at drain boundaries (identical pop cadence across
- *    delivery modes keeps TimingStats identical);
+ *    the engines keeps TimingStats identical);
  *  - spill pressure / depth storms: FaultPlan::applyTo shrinks the
  *    on-chip table stack and the request ring in the TimingConfig;
  *  - context-switch storms: CpuModel::contextSwitch every N branches.
  *
  * Delivery-mode equivalence is the design constraint that shapes the
  * FaultInjector: it is an *interposing* ExecObserver — the only
- * observer the Vm sees — that forwards events (and, in batched mode,
- * sliced sub-batches) to its targets in order and applies branch-
- * triggered faults at the same commit point in per-event and batched
+ * observer the Vm sees — that forwards events (and, from the threaded
+ * engine's batches, sliced sub-batches) to its targets in order and
+ * applies branch-triggered faults at the same commit point in the
+ * switch engine's per-event and the threaded engine's batched
  * delivery. A sibling observer could not do that: it would see a whole
  * EventBatch either before or after the detector consumed it.
  */
@@ -105,7 +107,7 @@ struct FaultPlan
 /** Injection counters (obs/names.h ipds.fault.*). */
 struct FaultStats
 {
-    uint64_t memTampers = 0;  ///< fired Vm tampers
+    uint64_t memTampers = 0;  ///< fired Vm tampers, of any origin
     uint64_t bsvFlips = 0;    ///< BSV entries overwritten
     uint64_t ctxSwitches = 0; ///< forced context switches
     uint64_t ringDrops = 0;   ///< requests dropped at drains
@@ -164,9 +166,9 @@ class FaultEventSink
  *
  * Events are forwarded unchanged; branch-triggered faults (BSV flips,
  * context-switch storms) fire at the commit point of the triggering
- * branch in every delivery mode — per-event by deferring to the Br's
- * own onInst when any target consumes instruction events, batched by
- * slicing the EventBatch after the branch's entry.
+ * branch on either engine — per-event (switch) by deferring to the
+ * Br's own onInst when any target consumes instruction events, batched
+ * (threaded) by slicing the EventBatch after the branch's entry.
  */
 class FaultInjector final : public ExecObserver
 {

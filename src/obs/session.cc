@@ -71,24 +71,14 @@ Session::Session(Options o)
     : opt(std::move(o))
 {}
 
-/** Everything one shard produces; merged in shard order at the join. */
+/** Everything one shard produces; merged in shard order at the join.
+ *  `res` holds what a replay of the shard reproduces. */
 struct Session::ShardOut
 {
-    DetectorStats det;
-    TimingStats tim;
-    FaultStats fault;
-    std::vector<Alarm> alarms;
-    obs::MetricsRegistry reg;
+    replay::ReplayShardResult res;
     std::vector<obs::TraceEvent> trace;
     uint64_t traceDropped = 0;
-    uint64_t runs = 0;
-    uint64_t steps = 0;
-    uint64_t inputEvents = 0;
-    uint64_t vmInstructions = 0;
-    uint64_t vmBlocks = 0;
-    uint64_t vmFlushes = 0;
-    RunResult firstResult;
-    bool hasFirst = false;
+    std::optional<RunResult> first; ///< session 0's, in its shard
 };
 
 void
@@ -125,9 +115,7 @@ Session::runShard(uint32_t shard, ShardOut &out,
         vm.setRecordTrace(opt.sessions == 1);
         if (trc)
             vm.setTracer(trc, s);
-        if (ex.hasTamper)
-            vm.setTamper(ex.tamperSpec);
-        for (const TamperSpec &spec : ex.extraTampers)
+        for (const TamperSpec &spec : ex.tampers)
             vm.addTamper(spec);
 
         // Capture brackets the session; when the ring-fault filter is
@@ -223,86 +211,72 @@ Session::runShard(uint32_t shard, ShardOut &out,
         }
 
         RunResult r = vm.run();
-        uint64_t firedTampers = 0;
-        for (const TamperRecord &tr : r.faultTampers)
-            firedTampers += tr.fired ? 1 : 0;
-        if (ex.hasFault) {
-            out.fault.merge(inj.stats());
-            out.fault.memTampers += firedTampers;
-        }
+        replay::ReplayShardResult &o = out.res;
+        // Every fired tamper counts, FaultPlan or not, as the
+        // SessionEnd record counts it for a replay.
+        const uint64_t firedTampers = r.faultTampers.size();
+        if (ex.hasFault)
+            o.fault.merge(inj.stats());
+        o.fault.memTampers += firedTampers;
         if (capture)
             capture->endSession(r.steps, r.inputEventCount,
                                 firedTampers,
                                 vm.vmStats().instructions,
                                 vm.vmStats().blocks,
                                 vm.vmStats().eventBatchFlushes);
-        out.runs++;
-        out.steps += r.steps;
-        out.inputEvents += r.inputEventCount;
-        out.vmInstructions += vm.vmStats().instructions;
-        out.vmBlocks += vm.vmStats().blocks;
-        out.vmFlushes += vm.vmStats().eventBatchFlushes;
+        o.runs++;
+        o.steps += r.steps;
+        o.inputEvents += r.inputEventCount;
+        o.vmInstructions += vm.vmStats().instructions;
+        o.vmBlocks += vm.vmStats().blocks;
+        o.vmFlushes += vm.vmStats().eventBatchFlushes;
         if (opt.detectorOn) {
-            out.det.merge(det.stats());
-            out.alarms.insert(out.alarms.end(), det.alarms().begin(),
-                              det.alarms().end());
+            o.det.merge(det.stats());
+            o.alarms.insert(o.alarms.end(), det.alarms().begin(),
+                            det.alarms().end());
         }
-        if (s == 0) {
-            out.firstResult = std::move(r);
-            out.hasFirst = true;
-        }
+        if (s == 0)
+            out.first = std::move(r);
     }
 
     if (cpu) {
-        out.tim = cpu->stats();
+        out.res.tim = cpu->stats();
         if (ex.hasFault) {
-            out.fault.ringDrops =
+            out.res.fault.ringDrops =
                 cpu->requestRing().faultDropCount();
-            out.fault.ringDups = cpu->requestRing().faultDupCount();
+            out.res.fault.ringDups = cpu->requestRing().faultDupCount();
         }
     }
     if (trc) {
         out.traceDropped = trc->dropped();
         out.trace = trc->events();
     }
-
-    // Per-shard registry: identical registration order in every shard
-    // (and every run), so the shard-order merge below is deterministic
-    // and the exported JSON shape is stable.
-    namespace n = obs::names;
-    out.reg.add(out.reg.counter(n::kSessRuns), out.runs);
-    out.reg.add(out.reg.counter(n::kSessSteps), out.steps);
-    out.reg.add(out.reg.counter(n::kSessInputEvents),
-                out.inputEvents);
-    out.reg.add(out.reg.counter(n::kSessTraceDropped),
-                out.traceDropped);
-    out.reg.add(out.reg.counter(n::kVmInstructions),
-                out.vmInstructions);
-    out.reg.add(out.reg.counter(n::kVmBlocks), out.vmBlocks);
-    out.reg.add(out.reg.counter(n::kVmEventBatchFlushes),
-                out.vmFlushes);
-    if (opt.detectorOn)
-        obs::exportDetectorStats(out.det, out.alarms.size(), out.reg);
-    if (opt.useTiming)
-        obs::exportTimingStats(out.tim, out.reg);
-    if (ex.hasFault)
-        obs::exportFaultStats(out.fault, out.reg);
 }
 
 Session &
 Session::run()
 {
-    if (const ReplayPlan *rp = std::get_if<ReplayPlan>(&opt.plan))
-        return runReplay(*rp);
-
-    alarmList.clear();
-    detStat = {};
-    timStat = {};
-    fltStat = {};
+    total = {};
     firstResult = {};
     registry = {};
     traceLog.clear();
     traceLost = 0;
+    if (const ReplayPlan *rp = std::get_if<ReplayPlan>(&opt.plan))
+        return runReplay(*rp);
+
+    // What a capture of this run records. Its flags also pick the
+    // per-shard metric blocks, as a replay of the capture picks them.
+    replay::TraceMeta meta;
+    meta.sessions = opt.sessions;
+    meta.shards = opt.shards;
+    meta.hasTiming = opt.useTiming;
+    meta.timing = opt.timingCfg;
+    if (opt.useTiming)
+        meta.flags |= replay::kFlagFullStream | replay::kFlagTiming;
+    if (opt.exec()->hasFault)
+        meta.flags |= replay::kFlagFault;
+    if (opt.detectorOn)
+        meta.flags |= replay::kFlagDetector;
 
     // Capture: the header is fully known up front, so it streams out
     // first; a single shard then writes chunks straight to the file,
@@ -321,19 +295,7 @@ Session::run()
         if (!capFile)
             fatal("Session: cannot open capture file '%s'",
                   cap->path.c_str());
-        replay::TraceMeta meta;
         meta.moduleHash = replay::moduleContentHash(opt.prog->mod);
-        meta.sessions = opt.sessions;
-        meta.shards = opt.shards;
-        meta.hasTiming = opt.useTiming;
-        meta.timing = opt.timingCfg;
-        if (opt.useTiming)
-            meta.flags |=
-                replay::kFlagFullStream | replay::kFlagTiming;
-        if (opt.exec()->hasFault)
-            meta.flags |= replay::kFlagFault;
-        if (opt.detectorOn)
-            meta.flags |= replay::kFlagDetector;
         std::vector<uint8_t> hdr(replay::headerBytes(meta));
         replay::encodeHeader(meta, hdr.data());
         capFile.write(reinterpret_cast<const char *>(hdr.data()),
@@ -407,17 +369,15 @@ Session::run()
     // Deterministic join: merge in shard order, independent of which
     // worker ran which shard.
     for (ShardOut &out : outs) {
-        detStat.merge(out.det);
-        timStat.merge(out.tim);
-        fltStat.merge(out.fault);
-        alarmList.insert(alarmList.end(), out.alarms.begin(),
-                         out.alarms.end());
-        registry.merge(out.reg);
+        total.merge(out.res);
+        obs::MetricsRegistry one;
+        replay::exportShardMetrics(meta, out.res, out.traceDropped, one);
+        registry.merge(one);
         traceLog.insert(traceLog.end(), out.trace.begin(),
                         out.trace.end());
         traceLost += out.traceDropped;
-        if (out.hasFirst)
-            firstResult = std::move(out.firstResult);
+        if (out.first)
+            firstResult = std::move(*out.first);
     }
     if (capturing)
         registry.add(
@@ -429,15 +389,6 @@ Session::run()
 Session &
 Session::runReplay(const ReplayPlan &rp)
 {
-    alarmList.clear();
-    detStat = {};
-    timStat = {};
-    fltStat = {};
-    firstResult = {};
-    registry = {};
-    traceLog.clear();
-    traceLost = 0;
-
     const bool wantIndex =
         rp.parallelSet || rp.hasSeekSession || rp.hasSeekChunk;
     replay::IndexedLoad idxInfo;
@@ -626,10 +577,7 @@ Session::runReplay(const ReplayPlan &rp)
                       std::chrono::steady_clock::now() - t0)
                       .count();
     replay::ReplayReport rep = replay::replayReport(m, outs, run);
-    detStat = rep.total.det;
-    timStat = rep.total.tim;
-    fltStat = rep.total.fault;
-    alarmList = std::move(rep.total.alarms);
+    total = std::move(rep.total);
     registry = std::move(rep.metrics);
     return *this;
 }

@@ -41,12 +41,12 @@
  *                           .program(prog).inputs(in)
  *                           .plan(ipds::CapturePlan("run.ipds")
  *                                     .exec(ipds::ExecPlan()
- *                                               .tamper(spec)))
+ *                                               .addTamper(spec)))
  *                           .build();
  *
  * The plan types make incompatible recipes unrepresentable: a
- * ReplayPlan has nowhere to hang a tamper() (the tamper's effects are
- * already in the recorded stream), and a Builder holds exactly one
+ * ReplayPlan has nowhere to hang an addTamper() (the tamper's effects
+ * are already in the recorded stream), and a Builder holds exactly one
  * plan. The Session keeps the plan it was given and runs from it.
  * Serving recorded streams over a socket is serve::Server's job
  * (src/serve/server.h), not a Session plan.
@@ -72,6 +72,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "replay/replay.h"
 #include "replay/writer.h"
 #include "timing/config.h"
 #include "timing/cpu.h"
@@ -86,24 +87,16 @@ namespace ipds {
  */
 struct ExecPlan
 {
-    /** Arm a memory tamper (applied to every session). */
-    ExecPlan &tamper(const TamperSpec &spec)
-    {
-        hasTamper = true;
-        tamperSpec = spec;
-        return *this;
-    }
-
     /**
-     * Arm an additional tamper via Vm::addTamper (applied to every
+     * Arm a memory tamper via Vm::addTamper (applied to every
      * session): step-triggered (atStep > 0) or input-event-triggered
-     * (afterInputEvent > 0). Unlike tamper() these stack, so a
-     * multi-write attack recipe (src/gen) rides one ExecPlan; fired
-     * records land in result().faultTampers.
+     * (afterInputEvent > 0). Tampers stack, so a multi-write attack
+     * recipe (src/gen) rides one ExecPlan; fired records land in
+     * result().faultTampers and count in faultStats().memTampers.
      */
     ExecPlan &addTamper(const TamperSpec &spec)
     {
-        extraTampers.push_back(spec);
+        tampers.push_back(spec);
         return *this;
     }
 
@@ -133,9 +126,7 @@ struct ExecPlan
         return *this;
     }
 
-    bool hasTamper = false;
-    TamperSpec tamperSpec;
-    std::vector<TamperSpec> extraTampers;
+    std::vector<TamperSpec> tampers;
     bool hasFault = false;
     FaultPlan fault;
     std::vector<ExecObserver *> observers;
@@ -264,18 +255,19 @@ class Session
 
     // ---- results (valid after run()) --------------------------------
 
-    bool alarmed() const { return !alarmList.empty(); }
+    bool alarmed() const { return !total.alarms.empty(); }
     /** All alarms, session order (shard-merge is deterministic). */
-    const std::vector<Alarm> &alarms() const { return alarmList; }
+    const std::vector<Alarm> &alarms() const { return total.alarms; }
 
     /** Detector aggregates over every session. */
-    const DetectorStats &detectorStats() const { return detStat; }
+    const DetectorStats &detectorStats() const { return total.det; }
 
     /** Timing aggregates (zero unless timing() was configured). */
-    const TimingStats &timingStats() const { return timStat; }
+    const TimingStats &timingStats() const { return total.tim; }
 
-    /** Injection aggregates (zero unless the plan armed faults()). */
-    const FaultStats &faultStats() const { return fltStat; }
+    /** Injection aggregates: fired tampers, plus what the plan's
+     *  faults() injected. */
+    const FaultStats &faultStats() const { return total.fault; }
 
     /** VM result of session 0: output, exit code, and the branch
      *  trace (recorded for single-session runs only). */
@@ -343,11 +335,8 @@ class Session
 
     Options opt;
 
-    // Results.
-    std::vector<Alarm> alarmList;
-    DetectorStats detStat;
-    TimingStats timStat;
-    FaultStats fltStat;
+    // Results: every shard merged, as a replay reproduces them.
+    replay::ReplayShardResult total;
     RunResult firstResult;
     obs::MetricsRegistry registry;
     std::vector<obs::TraceEvent> traceLog;

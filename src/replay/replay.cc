@@ -29,6 +29,26 @@ ReplayShardResult::merge(const ReplayShardResult &o)
     snapshots += o.snapshots;
 }
 
+void
+exportShardMetrics(const TraceMeta &m, const ReplayShardResult &r,
+                   uint64_t traceDropped, obs::MetricsRegistry &reg)
+{
+    namespace n = obs::names;
+    reg.add(reg.counter(n::kSessRuns), r.runs);
+    reg.add(reg.counter(n::kSessSteps), r.steps);
+    reg.add(reg.counter(n::kSessInputEvents), r.inputEvents);
+    reg.add(reg.counter(n::kSessTraceDropped), traceDropped);
+    reg.add(reg.counter(n::kVmInstructions), r.vmInstructions);
+    reg.add(reg.counter(n::kVmBlocks), r.vmBlocks);
+    reg.add(reg.counter(n::kVmEventBatchFlushes), r.vmFlushes);
+    if (m.detectorOn())
+        obs::exportDetectorStats(r.det, r.alarms.size(), reg);
+    if (m.hasTiming)
+        obs::exportTimingStats(r.tim, reg);
+    if (m.faultCaptured())
+        obs::exportFaultStats(r.fault, reg);
+}
+
 ReplayReport
 replayReport(const TraceMeta &m,
              const std::vector<ReplayShardResult> &shards,
@@ -39,23 +59,11 @@ replayReport(const TraceMeta &m,
     obs::MetricsRegistry &reg = rep.metrics;
     for (const ReplayShardResult &r : shards) {
         rep.total.merge(r);
-        // Per-shard registry in the SAME registration order as the
-        // live path, so the shared metrics merge to identical values;
-        // the replay-only meters append after.
+        // The live path's per-shard block, so the shared metrics
+        // merge to identical values; the replay-only meters append
+        // after.
         obs::MetricsRegistry one;
-        one.add(one.counter(n::kSessRuns), r.runs);
-        one.add(one.counter(n::kSessSteps), r.steps);
-        one.add(one.counter(n::kSessInputEvents), r.inputEvents);
-        one.add(one.counter(n::kSessTraceDropped), 0);
-        one.add(one.counter(n::kVmInstructions), r.vmInstructions);
-        one.add(one.counter(n::kVmBlocks), r.vmBlocks);
-        one.add(one.counter(n::kVmEventBatchFlushes), r.vmFlushes);
-        if (m.detectorOn())
-            obs::exportDetectorStats(r.det, r.alarms.size(), one);
-        if (m.hasTiming)
-            obs::exportTimingStats(r.tim, one);
-        if (m.faultCaptured())
-            obs::exportFaultStats(r.fault, one);
+        exportShardMetrics(m, r, 0, one);
         one.add(one.counter(n::kReplayChunks), r.chunks);
         one.add(one.counter(n::kReplayBytes), r.bytes);
         one.add(one.counter(n::kReplayEvents), r.events);

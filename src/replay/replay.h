@@ -98,10 +98,20 @@ struct ReplayReport
 };
 
 /**
+ * Register one shard's metric block into @p reg: the session and vm
+ * counters, then the detector, timing and fault metrics when @p m's
+ * flags say the run had them. The live Session join and
+ * replayReport() both build every shard's block here, so their
+ * shard-order merges register the same names in the same order.
+ * @p traceDropped is the shard's tracer loss (0 for a replay).
+ */
+void exportShardMetrics(const TraceMeta &m, const ReplayShardResult &r,
+                        uint64_t traceDropped, obs::MetricsRegistry &reg);
+
+/**
  * Merge @p shards (in shard order) and build the replay metric block:
- * per shard the session, vm, detector, timing and fault metrics in the
- * live path's registration order, then the ipds.replay.* meters.
- * Offline replay and the served Result both report through it.
+ * per shard its exportShardMetrics() block, then the ipds.replay.*
+ * meters. Offline replay and the served Result both report through it.
  */
 ReplayReport replayReport(const TraceMeta &m,
                           const std::vector<ReplayShardResult> &shards,

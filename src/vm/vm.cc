@@ -7,17 +7,6 @@
 
 #include "support/diag.h"
 
-// Dispatch strategy for the threaded engine: computed goto (one
-// indirect jump per opcode, so the branch predictor learns per-opcode
-// successor patterns) when the build opts in and the compiler supports
-// GNU label values; a dense switch over the flattened DecOp space
-// otherwise.
-#if defined(IPDS_VM_THREADED) && defined(__GNUC__)
-#define IPDS_VM_CGOTO 1
-#else
-#define IPDS_VM_CGOTO 0
-#endif
-
 namespace ipds {
 
 namespace {
@@ -98,20 +87,13 @@ Vm::addObserver(ExecObserver *obs)
 }
 
 void
-Vm::setTamper(const TamperSpec &spec)
-{
-    tamperArmed = true;
-    tamperSpec = spec;
-}
-
-void
 Vm::addTamper(const TamperSpec &spec)
 {
     if (spec.atStep == 0 && spec.afterInputEvent == 0)
-        fatal("Vm::addTamper: extra tampers need a trigger "
+        fatal("Vm::addTamper: a tamper needs a trigger "
               "(atStep > 0 or afterInputEvent > 0)");
     if (spec.atStep > 0)
-        extraTampers.push_back(spec);
+        stepTampers.push_back(spec);
     else
         eventTampers.push_back(spec);
 }
@@ -199,11 +181,11 @@ Vm::run()
     instEventsOn = false;
     for (ExecObserver *obs : observers)
         instEventsOn |= obs->wantsInstEvents();
-    std::stable_sort(extraTampers.begin(), extraTampers.end(),
+    std::stable_sort(stepTampers.begin(), stepTampers.end(),
                      [](const TamperSpec &a, const TamperSpec &b) {
                          return a.atStep < b.atStep;
                      });
-    extraFired = 0;
+    stepFired = 0;
     std::stable_sort(eventTampers.begin(), eventTampers.end(),
                      [](const TamperSpec &a, const TamperSpec &b) {
                          return a.afterInputEvent < b.afterInputEvent;
@@ -212,10 +194,7 @@ Vm::run()
     try {
         pushFrame(mod.entry, {}, kNoVreg);
         if (engineKind == VmEngine::Threaded) {
-            if (batchedDelivery)
-                runThreadedImpl<true>(res);
-            else
-                runThreadedImpl<false>(res);
+            runThreaded(res);
         } else {
             while (!frames.empty()) {
                 if (!step(res))
@@ -232,9 +211,8 @@ Vm::run()
     res.steps = steps;
     stats_.instructions = steps;
     res.inputEventCount = inputEvents;
-    res.tamper = tamperDone;
-    res.faultTampers = std::move(extraRecords);
-    extraRecords.clear();
+    res.faultTampers = std::move(tamperRecords);
+    tamperRecords.clear();
     if (trc)
         trc->record(obs::kCatSession, obs::TraceKind::SessionEnd,
                     mod.entry, 0, sessionIndex,
@@ -250,10 +228,7 @@ Vm::step(RunResult &res)
         // before the out-of-fuel bail: both engines check fuel at
         // batch granularity, so the two conditions can trip in the
         // same check, and fuel exhaustion must not mask the tamper.
-        if (tamperArmed && !tamperDone.fired &&
-            tamperSpec.atStep > 0 && steps >= tamperSpec.atStep)
-            fireTamper(res);
-        fireDueExtraTampers();
+        fireDueStepTampers();
         res.exit = ExitKind::OutOfFuel;
         return false;
     }
@@ -447,17 +422,15 @@ Vm::step(RunResult &res)
         for (auto *obs : observers)
             obs->onInst(in, memAddr, memSize, isLoad);
 
-    if (tamperArmed && !tamperDone.fired && tamperSpec.atStep > 0 &&
-        steps >= tamperSpec.atStep) {
-        fireTamper(res);
-    }
-    if (extraFired < extraTampers.size() &&
-        steps >= extraTampers[extraFired].atStep)
-        fireDueExtraTampers();
+    if (stepFired < stepTampers.size() &&
+        steps >= stepTampers[stepFired].atStep)
+        fireDueStepTampers();
     return !frames.empty();
 }
 
-#if IPDS_VM_CGOTO
+// Computed-goto dispatch (GNU label values, which GCC and Clang
+// provide): one indirect jump per opcode, so the branch predictor
+// learns per-opcode successor patterns.
 #define IPDS_OP(name) L_##name:
 #define IPDS_DISPATCH()                                                \
     do {                                                               \
@@ -467,14 +440,9 @@ Vm::step(RunResult &res)
         d = &ops[ip++];                                                \
         goto *kLabels[static_cast<size_t>(d->op)];                     \
     } while (0)
-#else
-#define IPDS_OP(name) case DecOp::name:
-#define IPDS_DISPATCH() goto dispatch
-#endif
 
-template <bool Batched>
 void
-Vm::runThreadedImpl(RunResult &res)
+Vm::runThreaded(RunResult &res)
 {
     // Every local lives above the first label: the dispatch gotos must
     // not jump over an initialization.
@@ -492,28 +460,26 @@ Vm::runThreadedImpl(RunResult &res)
     uint64_t chunkSize = 0;
     uint64_t budget = 0;
     uint64_t blk = 0;
-    [[maybe_unused]] VmInstEvent evBuf[kBatchCap];
-    [[maybe_unused]] uint32_t nev = 0;
-    [[maybe_unused]] FuncId batchFunc = kNoFunc;
+    VmInstEvent evBuf[kBatchCap];
+    uint32_t nev = 0;
+    FuncId batchFunc = kNoFunc;
     ExecObserver *const solo = soloObs;
-    [[maybe_unused]] const bool anyObs = !observers.empty();
+    const bool anyObs = !observers.empty();
 
     auto flush = [&]() {
-        if constexpr (Batched) {
-            if (nev == 0)
-                return;
-            EventBatch b;
-            b.func = batchFunc;
-            b.ev = evBuf;
-            b.n = nev;
-            stats_.eventBatchFlushes++;
-            if (solo)
-                solo->onBatch(b);
-            else
-                for (auto *obs : observers)
-                    obs->onBatch(b);
-            nev = 0;
-        }
+        if (nev == 0)
+            return;
+        EventBatch b;
+        b.func = batchFunc;
+        b.ev = evBuf;
+        b.n = nev;
+        stats_.eventBatchFlushes++;
+        if (solo)
+            solo->onBatch(b);
+        else
+            for (auto *obs : observers)
+                obs->onBatch(b);
+        nev = 0;
     };
     // Instruction events are skipped wholesale when no observer wants
     // them (detector-only deployment): branches remain the only
@@ -523,58 +489,40 @@ Vm::runThreadedImpl(RunResult &res)
                         bool is_load) {
         if (!instEv)
             return;
-        if constexpr (Batched) {
-            VmInstEvent &e = evBuf[nev++];
-            e.inst = d->src;
-            e.memAddr = mem_addr;
-            e.memSize = mem_size;
-            e.isLoad = is_load;
-            e.isBranch = false;
-            e.taken = false;
-            if (nev == kBatchCap)
-                flush();
-        } else if (solo) {
-            solo->onInst(*d->src, mem_addr, mem_size, is_load);
-        } else {
-            for (auto *obs : observers)
-                obs->onInst(*d->src, mem_addr, mem_size, is_load);
-        }
+        VmInstEvent &e = evBuf[nev++];
+        e.inst = d->src;
+        e.memAddr = mem_addr;
+        e.memSize = mem_size;
+        e.isLoad = is_load;
+        e.isBranch = false;
+        e.taken = false;
+        if (nev == kBatchCap)
+            flush();
     };
-    // Commits the conditional branch in *d: trace entry, branch event
-    // (one buffered event carries both the branch and the inst commit
-    // in batched mode; per-event mode fans out onBranch before the
-    // inst event, matching the switch engine), then takes the edge.
-    // Shared by the Br handler and the fused compare-and-branch ops.
+    // Commits the conditional branch in *d: trace entry, one buffered
+    // event carrying both the branch and its inst commit, then takes
+    // the edge. Shared by the Br handler and the fused
+    // compare-and-branch ops.
     auto commitBranch = [&](bool taken) {
         if (recordTrace)
             res.branchTrace.push_back({d->src->pc, taken});
-        if constexpr (Batched) {
-            if (anyObs) {
-                VmInstEvent &e = evBuf[nev++];
-                e.inst = d->src;
-                e.memAddr = 0;
-                e.memSize = 0;
-                e.isLoad = false;
-                e.isBranch = true;
-                e.taken = taken;
-                batchFunc = fr->func;
-                if (nev == kBatchCap)
-                    flush();
-            }
-        } else {
-            if (solo)
-                solo->onBranch(fr->func, d->src->pc, taken);
-            else
-                for (auto *obs : observers)
-                    obs->onBranch(fr->func, d->src->pc, taken);
-            emitInst(0, 0, false);
+        if (anyObs) {
+            VmInstEvent &e = evBuf[nev++];
+            e.inst = d->src;
+            e.memAddr = 0;
+            e.memSize = 0;
+            e.isLoad = false;
+            e.isBranch = true;
+            e.taken = taken;
+            batchFunc = fr->func;
+            if (nev == kBatchCap)
+                flush();
         }
         ip = taken ? d->a : d->b;
         blk++;
     };
 
     try {
-#if IPDS_VM_CGOTO
         // Must mirror the DecOp declaration order exactly
         // (static_assert below pins the count).
         static const void *const kLabels[] = {
@@ -596,14 +544,6 @@ Vm::runThreadedImpl(RunResult &res)
                           static_cast<size_t>(DecOp::Count_),
                       "dispatch table out of sync with DecOp");
         IPDS_DISPATCH();
-#else
-    dispatch:
-        if (budget == 0)
-            goto checkpoint;
-        budget--;
-        d = &ops[ip++];
-        switch (d->op) {
-#endif
 
         IPDS_OP(ConstInt) {
             regs[d->dst] = d->imm;
@@ -888,13 +828,6 @@ Vm::runThreadedImpl(RunResult &res)
         IPDS_OP_BRCMP(Ge, >=)
 #undef IPDS_OP_BRCMP
 
-#if !IPDS_VM_CGOTO
-          case DecOp::Count_:
-            break;
-        }
-        panic("threaded dispatch: corrupt opcode");
-#endif
-
     checkpoint:
         // Only fuel exhaustion and step-armed tampers land here: the
         // event buffer flushes itself at the append sites when full,
@@ -906,12 +839,9 @@ Vm::runThreadedImpl(RunResult &res)
         // A step-armed tamper at exactly the fuel boundary must fire
         // before the out-of-fuel bail (see the matching check in
         // step()).
-        if (tamperArmed && !tamperDone.fired &&
-            tamperSpec.atStep > 0 && steps >= tamperSpec.atStep)
-            fireTamper(res);
-        if (extraFired < extraTampers.size() &&
-            steps >= extraTampers[extraFired].atStep)
-            fireDueExtraTampers();
+        if (stepFired < stepTampers.size() &&
+            steps >= stepTampers[stepFired].atStep)
+            fireDueStepTampers();
         if (steps >= fuel) {
             fr->ip = ip;
             flush();
@@ -919,13 +849,10 @@ Vm::runThreadedImpl(RunResult &res)
             return;
         }
         chunkSize = fuel - steps;
-        if (tamperArmed && !tamperDone.fired &&
-            tamperSpec.atStep > steps)
-            chunkSize = std::min(chunkSize, tamperSpec.atStep - steps);
-        if (extraFired < extraTampers.size() &&
-            extraTampers[extraFired].atStep > steps)
+        if (stepFired < stepTampers.size() &&
+            stepTampers[stepFired].atStep > steps)
             chunkSize = std::min(
-                chunkSize, extraTampers[extraFired].atStep - steps);
+                chunkSize, stepTampers[stepFired].atStep - steps);
         budget = chunkSize;
         IPDS_DISPATCH();
     } catch (...) {
@@ -942,32 +869,13 @@ Vm::runThreadedImpl(RunResult &res)
 #undef IPDS_DISPATCH
 
 void
-Vm::maybeFireTamper(RunResult &res, bool input_event)
+Vm::fireDueStepTampers()
 {
-    if (!tamperArmed || tamperDone.fired || !input_event)
-        return;
-    if (tamperSpec.atStep > 0)
-        return; // step-triggered, handled in step()
-    if (inputEvents >= tamperSpec.afterInputEvent)
-        fireTamper(res);
-}
-
-void
-Vm::fireTamper(RunResult &res)
-{
-    (void)res;
-    fireTamperSpec(tamperSpec, tamperDone);
-}
-
-void
-Vm::fireDueExtraTampers()
-{
-    while (extraFired < extraTampers.size() &&
-           steps >= extraTampers[extraFired].atStep) {
-        extraRecords.emplace_back();
-        fireTamperSpec(extraTampers[extraFired],
-                       extraRecords.back());
-        extraFired++;
+    while (stepFired < stepTampers.size() &&
+           steps >= stepTampers[stepFired].atStep) {
+        tamperRecords.emplace_back();
+        fireTamperSpec(stepTampers[stepFired], tamperRecords.back());
+        stepFired++;
     }
 }
 
@@ -976,9 +884,8 @@ Vm::fireDueEventTampers()
 {
     while (eventFired < eventTampers.size() &&
            inputEvents >= eventTampers[eventFired].afterInputEvent) {
-        extraRecords.emplace_back();
-        fireTamperSpec(eventTampers[eventFired],
-                       extraRecords.back());
+        tamperRecords.emplace_back();
+        fireTamperSpec(eventTampers[eventFired], tamperRecords.back());
         eventFired++;
     }
 }
@@ -1087,7 +994,6 @@ Vm::execBuiltin(Frame &fr, const Inst &in, RunResult &res)
         // The classic unbounded copy: writes however much arrives.
         mem.writeBytes(uarg(0), line.data(), line.size());
         mem.writeByte(uarg(0) + line.size(), 0);
-        maybeFireTamper(res, true);
         fireDueEventTampers();
         break;
       }
@@ -1100,14 +1006,12 @@ Vm::execBuiltin(Frame &fr, const Inst &in, RunResult &res)
             mem.writeBytes(uarg(0), line.data(), len);
             mem.writeByte(uarg(0) + len, 0);
         }
-        maybeFireTamper(res, true);
         fireDueEventTampers();
         break;
       }
       case Builtin::InputInt: {
         const std::string &line = nextInput();
         fr.regs[in.dst] = std::strtoll(line.c_str(), nullptr, 10);
-        maybeFireTamper(res, true);
         fireDueEventTampers();
         break;
       }

@@ -13,7 +13,7 @@
  *  - provide the C-library-style builtins (including the classic
  *    unbounded strcpy/get_input overflow vectors);
  *  - feed scripted input lines to the program;
- *  - inject memory tampering at a chosen trigger (Nth input event or
+ *  - inject memory tampers at chosen triggers (Nth input event or
  *    instruction count), optionally picking a random live stack
  *    location — the attack primitive of §6;
  *  - emit events (function enter/exit, committed branches, executed
@@ -55,9 +55,10 @@ struct BranchEvent
 };
 
 /**
- * One buffered instruction event (batched delivery). Captures exactly
- * what the per-event callbacks carry: the committed instruction, its
- * data access, and — for conditional branches — the direction.
+ * One buffered instruction event (the threaded engine's delivery).
+ * Captures exactly what the per-event callbacks carry: the committed
+ * instruction, its data access, and — for conditional branches — the
+ * direction.
  */
 struct VmInstEvent
 {
@@ -133,7 +134,7 @@ class ExecObserver
     }
 
     /**
-     * A batch of buffered events (batched delivery engine). The
+     * A batch of buffered events (the threaded engine). The
      * default replays the per-event callbacks in order, so observers
      * that don't override this see exactly the per-event stream; hot
      * observers override it to pay one virtual call per run of
@@ -189,9 +190,7 @@ struct RunResult
     /** PC of the call that consumed each input event, in order. */
     std::vector<uint64_t> inputEventPcs;
     std::vector<BranchEvent> branchTrace;
-    TamperRecord tamper;
-    /** One record per fired addTamper() spec, firing order (fault
-     *  injection; setTamper's record stays in `tamper`). */
+    /** One record per fired addTamper() spec, in firing order. */
     std::vector<TamperRecord> faultTampers;
     std::string trapMessage;
 };
@@ -199,8 +198,8 @@ struct RunResult
 /** Which execution core runs the program. */
 enum class VmEngine : uint8_t
 {
-    Switch,   ///< golden-reference big-switch interpreter
-    Threaded, ///< predecoded blocks + threaded dispatch (default)
+    Switch,   ///< golden-reference big-switch interpreter, per-event
+    Threaded, ///< predecoded, threaded dispatch, batched (default)
 };
 
 /** Throughput counters of one run (obs/names.h ipds.vm.*). */
@@ -236,19 +235,16 @@ class Vm
     /** Attach an observer (not owned). May be called multiple times. */
     void addObserver(ExecObserver *obs);
 
-    /** Arm a single memory tamper. */
-    void setTamper(const TamperSpec &spec);
-
     /**
-     * Arm an additional memory tamper (fault injection, attack
-     * recipes). Unlike setTamper there may be any number of these;
-     * each fires once at its trigger — atStep > 0 fires at that
-     * absolute instruction count, otherwise afterInputEvent > 0
-     * fires when the Nth input event commits (a spec with neither is
-     * a FatalError). Step triggers fire at identical step boundaries
-     * in both engines; input-event triggers fire inside the shared
-     * builtin path, so multi-write attack sequences stay bit-
-     * identical across switch/threaded/batched execution. Fired
+     * Arm a memory tamper (attacks, fault injection, attack recipes).
+     * Any number may be armed; each fires once at its trigger —
+     * atStep > 0 fires at that absolute instruction count, otherwise
+     * afterInputEvent > 0 fires when the Nth input event commits (a
+     * spec with neither is a FatalError). Specs due at the same step
+     * or input event fire in the order they were armed. Step triggers
+     * fire at identical step boundaries in both engines; input-event
+     * triggers fire inside the shared builtin path, so multi-write
+     * attack sequences stay bit-identical across the engines. Fired
      * records land in RunResult::faultTampers in firing order.
      */
     void addTamper(const TamperSpec &spec);
@@ -259,16 +255,13 @@ class Vm
     /** Record the branch trace in the result (default on). */
     void setRecordTrace(bool on) { recordTrace = on; }
 
-    /** Select the execution core (default Threaded). */
+    /**
+     * Select the execution core (default Threaded). The threaded
+     * engine delivers observer events as EventBatches, the switch
+     * engine one virtual call per event.
+     */
     void setEngine(VmEngine e) { engineKind = e; }
     VmEngine engine() const { return engineKind; }
-
-    /**
-     * Threaded engine only: deliver observer events as per-block
-     * EventBatches (default) or one virtual call per event. The
-     * switch engine always delivers per-event.
-     */
-    void setBatchedDelivery(bool on) { batchedDelivery = on; }
 
     /** Throughput counters (valid after run()). */
     const VmStats &vmStats() const { return stats_; }
@@ -326,20 +319,18 @@ class Vm
     bool step(RunResult &res);
 
     /**
-     * Predecoded threaded dispatch loop; runs to completion (or out
-     * of fuel). Batched selects EventBatch vs per-event delivery.
+     * Predecoded threaded dispatch loop with EventBatch delivery; runs
+     * to completion (or out of fuel).
      */
-    template <bool Batched> void runThreadedImpl(RunResult &res);
+    void runThreaded(RunResult &res);
 
     void execBuiltin(Frame &fr, const Inst &in, RunResult &res);
 
-    void maybeFireTamper(RunResult &res, bool input_event);
-    void fireTamper(RunResult &res);
     /** Corrupt memory per @p spec, recording what happened in @p rec. */
     void fireTamperSpec(const TamperSpec &spec, TamperRecord &rec);
-    /** Fire every armed extra tamper whose atStep has been reached. */
-    void fireDueExtraTampers();
-    /** Fire every armed extra tamper due at the current input event. */
+    /** Fire every armed tamper whose atStep has been reached. */
+    void fireDueStepTampers();
+    /** Fire every armed tamper due at the current input event. */
     void fireDueEventTampers();
 
     [[noreturn]] void trap(const std::string &why);
@@ -363,22 +354,18 @@ class Vm
     uint64_t sessionIndex = 0;
     bool recordTrace = true;
     VmEngine engineKind = VmEngine::Threaded;
-    bool batchedDelivery = true;
     uint64_t fuel = 50'000'000;
     uint64_t steps = 0;
     VmStats stats_;
     std::vector<int64_t> argScratch; ///< reused CallUser arg buffer
 
-    bool tamperArmed = false;
-    TamperSpec tamperSpec;
-    TamperRecord tamperDone;
-    /** addTamper() specs, sorted by atStep at run() entry. */
-    std::vector<TamperSpec> extraTampers;
-    size_t extraFired = 0; ///< extraTampers[0..extraFired) have fired
+    /** addTamper() step specs, sorted by atStep at run() entry. */
+    std::vector<TamperSpec> stepTampers;
+    size_t stepFired = 0; ///< stepTampers[0..stepFired) have fired
     /** addTamper() input-event specs, sorted by afterInputEvent. */
     std::vector<TamperSpec> eventTampers;
     size_t eventFired = 0; ///< eventTampers[0..eventFired) have fired
-    std::vector<TamperRecord> extraRecords;
+    std::vector<TamperRecord> tamperRecords;
 
     /** Events buffered per block before one onBatch flush. */
     static constexpr uint32_t kBatchCap = 64;

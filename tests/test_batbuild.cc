@@ -274,7 +274,7 @@ void main() {
         spec.afterInputEvent = 3; // mid-loop, after BR1 executed
         spec.addr = vm.entryLocalAddr("y");
         spec.bytes = {100, 0, 0, 0, 0, 0, 0, 0};
-        vm.setTamper(spec);
+        vm.addTamper(spec);
         vm.run();
         EXPECT_TRUE(det.alarmed());
     }

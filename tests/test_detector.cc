@@ -131,7 +131,7 @@ void main() {
     spec.afterInputEvent = 1;
     spec.addr = vm.entryLocalAddr("flag");
     spec.bytes = {1, 0, 0, 0, 0, 0, 0, 0};
-    vm.setTamper(spec);
+    vm.addTamper(spec);
     vm.run();
 
     ASSERT_TRUE(det.alarmed());
@@ -274,7 +274,7 @@ void main() {
     spec.afterInputEvent = 1;
     spec.addr = vm.entryLocalAddr("flag");
     spec.bytes = {1, 0, 0, 0, 0, 0, 0, 0};
-    vm.setTamper(spec);
+    vm.addTamper(spec);
     vm.run();
     // The first tampered evaluation alarms. The detector then applies
     // the branch's own update (flag==1 taken pins SET_T), so later
@@ -388,7 +388,7 @@ void main() {
     spec.afterInputEvent = 1;
     spec.addr = vm.entryLocalAddr("flag");
     spec.bytes = {1, 0, 0, 0, 0, 0, 0, 0};
-    vm.setTamper(spec);
+    vm.addTamper(spec);
     vm.run();
 
     EXPECT_TRUE(refDet.alarmed());

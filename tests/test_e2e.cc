@@ -168,10 +168,10 @@ TEST(EndToEnd, Figure2TamperIsDetected)
     Session s = Session::builder()
                     .program(prog)
                     .inputs({"-5"})
-                    .plan(ExecPlan().tamper(spec))
+                    .plan(ExecPlan().addTamper(spec))
                     .build();
     s.run();
-    EXPECT_TRUE(s.result().tamper.fired);
+    EXPECT_EQ(s.result().faultTampers.size(), 1u);
     EXPECT_TRUE(s.alarmed());
 }
 
@@ -223,10 +223,10 @@ void main() {
         Session s = Session::builder()
                         .program(prog)
                         .inputs({"a", "b", "c", "d"})
-                        .plan(ExecPlan().tamper(spec))
+                        .plan(ExecPlan().addTamper(spec))
                         .build();
         s.run();
-        EXPECT_TRUE(s.result().tamper.fired);
+        EXPECT_EQ(s.result().faultTampers.size(), 1u);
         EXPECT_TRUE(s.alarmed()) << "flip of secret not detected";
     }
 }

@@ -115,7 +115,7 @@ TEST_P(AttackFuzz, DetectionImpliesDivergence)
         spec.randomStackTarget = true;
         spec.seed = GetParam() * 131 + atk;
         spec.afterInputEvent = 1 + atk % 5;
-        vm.setTamper(spec);
+        vm.addTamper(spec);
         RunResult r = vm.run();
         if (det.alarmed()) {
             EXPECT_FALSE(r.branchTrace == golden)

@@ -77,7 +77,7 @@ TEST(Image, LoadedTablesDriveTheDetectorIdentically)
         spec.afterInputEvent = 4;
         spec.addr = vm.entryLocalAddr("maintenance");
         spec.bytes = {1, 0, 0, 0, 0, 0, 0, 0};
-        vm.setTamper(spec);
+        vm.addTamper(spec);
         vm.run();
         EXPECT_TRUE(det.alarmed());
     }

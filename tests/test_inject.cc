@@ -8,7 +8,7 @@
  * express — memory tampers, BSV flips, ring drop/duplicate, spill
  * pressure, context-switch storms — the fast Detector and the frozen
  * ReferenceDetector must report identical alarms and statistics, the
- * switch and threaded(+batched) VM engines must stay bit-identical,
+ * switch and threaded VM engines must stay bit-identical,
  * clean runs must stay alarm-free, and no fault may reach a panic().
  */
 
@@ -325,13 +325,12 @@ expectSameAlarms(const std::vector<Alarm> &a,
  * One fully faulted run: injector interposed over detector + timing
  * model, ring filter armed, memory tampers armed. @p reference swaps
  * the fast Detector for the frozen ReferenceDetector (request sink
- * transport), @p eng / @p batched select the VM engine.
+ * transport), @p eng selects the VM engine.
  */
 Capture
 runFaulted(const CompiledProgram &prog,
            const std::vector<std::string> &inputs,
-           const FaultPlan &plan, VmEngine eng, bool batched,
-           bool reference)
+           const FaultPlan &plan, VmEngine eng, bool reference)
 {
     TimingConfig cfg;
     plan.applyTo(cfg);
@@ -340,7 +339,6 @@ runFaulted(const CompiledProgram &prog,
     vm.setInputs(inputs);
     vm.setFuel(5'000'000);
     vm.setEngine(eng);
-    vm.setBatchedDelivery(batched);
 
     Detector det(prog);
     ReferenceDetector ref(prog);
@@ -432,6 +430,8 @@ faultClasses()
 
 TEST(FaultOracle, FastAndReferenceDetectorsAgreeUnderEveryFault)
 {
+    // The ReferenceDetector's request sink stamps no seq, so timing it
+    // cycle-exactly needs per-event delivery: the switch engine.
     for (const char *wlName : {"telnetd", "wu-ftpd"}) {
         const Workload &wl = workloadByName(wlName);
         CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
@@ -440,10 +440,10 @@ TEST(FaultOracle, FastAndReferenceDetectorsAgreeUnderEveryFault)
                 std::string(wlName) + "/" + pc.name;
             Capture fast =
                 runFaulted(prog, wl.benignInputs, pc.plan,
-                           VmEngine::Threaded, false, false);
+                           VmEngine::Switch, false);
             Capture ref =
                 runFaulted(prog, wl.benignInputs, pc.plan,
-                           VmEngine::Threaded, false, true);
+                           VmEngine::Switch, true);
             expectSameAlarms(ref.alarms, fast.alarms, what);
             EXPECT_TRUE(ref.det == fast.det) << what;
             EXPECT_TRUE(ref.tim == fast.tim) << what;
@@ -464,36 +464,29 @@ TEST(FaultOracle, EnginesStayBitIdenticalUnderEveryFault)
     CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
     for (const PlanCase &pc : faultClasses()) {
         Capture sw = runFaulted(prog, wl.benignInputs, pc.plan,
-                                VmEngine::Switch, false, false);
+                                VmEngine::Switch, false);
         Capture th = runFaulted(prog, wl.benignInputs, pc.plan,
-                                VmEngine::Threaded, false, false);
-        Capture tb = runFaulted(prog, wl.benignInputs, pc.plan,
-                                VmEngine::Threaded, true, false);
-        for (const Capture *c : {&th, &tb}) {
-            std::string what = std::string(pc.name) +
-                (c == &th ? "/threaded" : "/threaded+batched");
-            expectSameAlarms(sw.alarms, c->alarms, what);
-            EXPECT_TRUE(sw.det == c->det) << what;
-            EXPECT_TRUE(sw.tim == c->tim) << what;
-            EXPECT_TRUE(sw.fault == c->fault) << what;
-            EXPECT_EQ(sw.res.output, c->res.output) << what;
-            EXPECT_EQ(sw.res.steps, c->res.steps) << what;
-            EXPECT_TRUE(sw.res.branchTrace == c->res.branchTrace)
+                                VmEngine::Threaded, false);
+        std::string what = std::string(pc.name) + "/threaded";
+        expectSameAlarms(sw.alarms, th.alarms, what);
+        EXPECT_TRUE(sw.det == th.det) << what;
+        EXPECT_TRUE(sw.tim == th.tim) << what;
+        EXPECT_TRUE(sw.fault == th.fault) << what;
+        EXPECT_EQ(sw.res.output, th.res.output) << what;
+        EXPECT_EQ(sw.res.steps, th.res.steps) << what;
+        EXPECT_TRUE(sw.res.branchTrace == th.res.branchTrace) << what;
+        ASSERT_EQ(sw.res.faultTampers.size(), th.res.faultTampers.size())
+            << what;
+        for (size_t i = 0; i < sw.res.faultTampers.size(); i++) {
+            EXPECT_EQ(sw.res.faultTampers[i].fired,
+                      th.res.faultTampers[i].fired)
                 << what;
-            ASSERT_EQ(sw.res.faultTampers.size(),
-                      c->res.faultTampers.size())
+            EXPECT_EQ(sw.res.faultTampers[i].addr,
+                      th.res.faultTampers[i].addr)
                 << what;
-            for (size_t i = 0; i < sw.res.faultTampers.size(); i++) {
-                EXPECT_EQ(sw.res.faultTampers[i].fired,
-                          c->res.faultTampers[i].fired)
-                    << what;
-                EXPECT_EQ(sw.res.faultTampers[i].addr,
-                          c->res.faultTampers[i].addr)
-                    << what;
-                EXPECT_TRUE(sw.res.faultTampers[i].newBytes ==
-                            c->res.faultTampers[i].newBytes)
-                    << what;
-            }
+            EXPECT_TRUE(sw.res.faultTampers[i].newBytes ==
+                        th.res.faultTampers[i].newBytes)
+                << what;
         }
     }
 }
@@ -509,7 +502,7 @@ TEST(FaultOracle, ZeroRatePlanIsFullyTransparent)
     inert.seed = 99; // enabled, but every rate zero
     inert.maxMemFaults = 0;
     Capture viaInjector = runFaulted(
-        prog, wl.benignInputs, inert, VmEngine::Threaded, true, false);
+        prog, wl.benignInputs, inert, VmEngine::Threaded, false);
 
     TimingConfig cfg;
     CpuModel cpu(cfg);
@@ -545,11 +538,10 @@ TEST(FaultOracle, NoPanicReachableFromFaultStorms)
         plan.ringDupPermille = 200;
         plan.ctxEveryBranches = 17;
         plan.spillPressure = true;
-        for (bool batched : {false, true}) {
+        for (VmEngine eng : {VmEngine::Switch, VmEngine::Threaded}) {
             Capture c;
             ASSERT_NO_THROW(
-                c = runFaulted(prog, wl.benignInputs, plan,
-                               VmEngine::Threaded, batched, false))
+                c = runFaulted(prog, wl.benignInputs, plan, eng, false))
                 << "seed " << seed;
             EXPECT_TRUE(c.res.exit == ExitKind::Returned ||
                         c.res.exit == ExitKind::Exited ||
@@ -677,9 +669,9 @@ void main() {
     cfg.bcvStackBits = 32;
     cfg.batStackBits = 512;
 
-    for (bool batched : {false, true}) {
-        std::string what =
-            batched ? "batched delivery" : "per-event delivery";
+    for (VmEngine eng : {VmEngine::Switch, VmEngine::Threaded}) {
+        std::string what = eng == VmEngine::Threaded
+            ? "batched delivery" : "per-event delivery";
         auto runOnce = [&](bool tampered) {
             CpuModel cpu(cfg);
             Vm vm(prog.mod);
@@ -687,7 +679,7 @@ void main() {
             det.setRequestRing(&cpu.requestRing());
             vm.addObserver(&det);
             vm.addObserver(&cpu);
-            vm.setBatchedDelivery(batched);
+            vm.setEngine(eng);
             if (tampered) {
                 TamperSpec spec;
                 spec.randomStackTarget = false;

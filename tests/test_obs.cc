@@ -447,7 +447,7 @@ TEST(Session, TamperedRunAlarmsAndTraceRecordsTheCause)
     Session s = Session::builder()
                     .program(prog)
                     .inputs({"7", "1", "2", "3", "4"})
-                    .plan(ExecPlan().tamper(spec))
+                    .plan(ExecPlan().addTamper(spec))
                     .trace(obs::kCatAll)
                     .build();
     s.run();

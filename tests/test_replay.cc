@@ -369,19 +369,19 @@ TEST(ReplayRoundTrip, ShardedReplayIsThreadCountInvariant)
 TEST(ReplayCapture, CapturesAreByteIdenticalAcrossEnginesAndDelivery)
 {
     // BranchesOnly capture must not depend on which engine ran or how
-    // events were delivered — the compact stream is the committed
-    // event order, which the vm-diff suite holds bit-identical.
+    // it delivered events (per-event on the switch engine, batched on
+    // the threaded one) — the compact stream is the committed event
+    // order, which the vm-diff suite holds bit-identical.
     const Workload &wl = workloadByName("telnetd");
     CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
 
-    auto captureWith = [&](VmEngine e, bool batched) {
+    auto captureWith = [&](VmEngine e) {
         std::ostringstream os;
         replay::TraceWriter w(os,
                               replay::TraceWriter::Mode::BranchesOnly);
         Vm vm(prog.mod);
         vm.setInputs(wl.benignInputs);
         vm.setEngine(e);
-        vm.setBatchedDelivery(batched);
         Detector det(prog);
         vm.addObserver(&det);
         vm.addObserver(&w);
@@ -397,14 +397,10 @@ TEST(ReplayCapture, CapturesAreByteIdenticalAcrossEnginesAndDelivery)
         return os.str();
     };
 
-    std::string switchStream = captureWith(VmEngine::Switch, false);
-    std::string threadedBatched =
-        captureWith(VmEngine::Threaded, true);
-    std::string threadedPerEvent =
-        captureWith(VmEngine::Threaded, false);
+    std::string switchStream = captureWith(VmEngine::Switch);
+    std::string threadedBatched = captureWith(VmEngine::Threaded);
     EXPECT_FALSE(switchStream.empty());
     EXPECT_EQ(switchStream, threadedBatched);
-    EXPECT_EQ(switchStream, threadedPerEvent);
 }
 
 // ------------------------------------------------ fault composition
@@ -472,7 +468,7 @@ TEST(ReplayFault, TamperedRunAlarmsIdenticallyOnReplay)
                        .program(prog)
                        .inputs(kLoopInputs)
                        .plan(CapturePlan(path).exec(
-                           ExecPlan().tamper(spec)))
+                           ExecPlan().addTamper(spec)))
                        .build();
     live.run();
     ASSERT_TRUE(live.alarmed());
@@ -485,6 +481,10 @@ TEST(ReplayFault, TamperedRunAlarmsIdenticallyOnReplay)
     ASSERT_TRUE(rep.alarmed());
     EXPECT_TRUE(sameAlarms(rep.alarms(), live.alarms()));
     EXPECT_EQ(rep.alarms().front().pc, live.alarms().front().pc);
+    // The fired tamper counts live, with no FaultPlan armed, as the
+    // capture's SessionEnd record counts it for the replay.
+    EXPECT_EQ(live.faultStats().memTampers, 1u);
+    EXPECT_TRUE(rep.faultStats() == live.faultStats());
     std::remove(path.c_str());
 }
 
@@ -534,7 +534,8 @@ static_assert(!HasTamper<ReplayPlan> && !HasAddTamper<ReplayPlan> &&
 // A capture takes its VM knobs from the ExecPlan it nests, nowhere else.
 static_assert(!HasTamper<CapturePlan> && !HasFaults<CapturePlan> &&
               !HasObserve<CapturePlan>);
-static_assert(HasTamper<ExecPlan> && HasAddTamper<ExecPlan> &&
+// One way to arm a tamper: addTamper().
+static_assert(!HasTamper<ExecPlan> && HasAddTamper<ExecPlan> &&
               HasFaults<ExecPlan> && HasObserve<ExecPlan>);
 // One trace rule: recorded for one session, not for many.
 static_assert(!HasRecordTrace<ExecPlan> &&

@@ -212,7 +212,7 @@ void main() {
             .inputs({"7", "1", "2", "3", "4"})
             .sessions(4)
             .shards(2)
-            .plan(CapturePlan(path).exec(ExecPlan().tamper(spec)))
+            .plan(CapturePlan(path).exec(ExecPlan().addTamper(spec)))
             .build();
     live.run();
     ASSERT_TRUE(live.alarmed());

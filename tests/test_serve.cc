@@ -109,7 +109,7 @@ capture(const CompiledProgram &prog, const std::string &name,
         spec.afterInputEvent = 2;
         spec.addr = Vm(prog.mod).entryLocalAddr("role");
         spec.bytes = {1, 0, 0, 0, 0, 0, 0, 0};
-        exec.tamper(spec);
+        exec.addTamper(spec);
     }
     b.plan(CapturePlan(path).exec(exec));
     b.build().run();

@@ -112,7 +112,7 @@ capture(const CompiledProgram &prog,
         spec.afterInputEvent = 2;
         spec.addr = Vm(prog.mod).entryLocalAddr("role");
         spec.bytes = {1, 0, 0, 0, 0, 0, 0, 0};
-        exec.tamper(spec);
+        exec.addTamper(spec);
     }
     b.plan(CapturePlan(path).exec(exec));
     b.build().run();

@@ -62,10 +62,10 @@ TEST_P(TargetedAttackTest, IsDetected)
     spec.bytes.resize(8);
     for (int i = 0; i < 8; i++)
         spec.bytes[i] = static_cast<uint8_t>(v >> (8 * i));
-    vm.setTamper(spec);
+    vm.addTamper(spec);
 
     RunResult r = vm.run();
-    ASSERT_TRUE(r.tamper.fired);
+    ASSERT_EQ(r.faultTampers.size(), 1u);
     EXPECT_TRUE(det.alarmed())
         << atk.workload << ": corrupting " << atk.variable << " to "
         << atk.newValue << " after input #" << atk.afterInput

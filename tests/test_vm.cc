@@ -310,12 +310,12 @@ void main() {
     spec.afterInputEvent = 1;
     spec.addr = vm.entryLocalAddr("x");
     spec.bytes = {9, 0, 0, 0, 0, 0, 0, 0};
-    vm.setTamper(spec);
+    vm.addTamper(spec);
     RunResult r = vm.run();
-    EXPECT_TRUE(r.tamper.fired);
+    ASSERT_EQ(r.faultTampers.size(), 1u);
     EXPECT_EQ(r.output, "CHANGED");
-    EXPECT_EQ(r.tamper.oldBytes[0], 1);
-    EXPECT_EQ(r.tamper.newBytes[0], 9);
+    EXPECT_EQ(r.faultTampers[0].oldBytes[0], 1);
+    EXPECT_EQ(r.faultTampers[0].newBytes[0], 9);
 }
 
 TEST(VmTamper, RandomStackTamperIsDeterministicPerSeed)
@@ -334,18 +334,19 @@ void main() {
         TamperSpec spec;
         spec.afterInputEvent = 1;
         spec.seed = seed;
-        vm.setTamper(spec);
+        vm.addTamper(spec);
         return vm.run();
     };
     RunResult a1 = runSeed(11), a2 = runSeed(11), b1 = runSeed(12);
-    EXPECT_TRUE(a1.tamper.fired);
-    EXPECT_EQ(a1.tamper.addr, a2.tamper.addr);
-    EXPECT_EQ(a1.tamper.newBytes, a2.tamper.newBytes);
+    ASSERT_EQ(a1.faultTampers.size(), 1u);
+    ASSERT_EQ(a2.faultTampers.size(), 1u);
+    EXPECT_EQ(a1.faultTampers[0].addr, a2.faultTampers[0].addr);
+    EXPECT_EQ(a1.faultTampers[0].newBytes, a2.faultTampers[0].newBytes);
     EXPECT_EQ(a1.output, a2.output);
     // Different seed eventually picks different target/value; just
     // check the record is well-formed.
-    EXPECT_TRUE(b1.tamper.fired);
-    EXPECT_FALSE(b1.tamper.objectName.empty());
+    ASSERT_EQ(b1.faultTampers.size(), 1u);
+    EXPECT_FALSE(b1.faultTampers[0].objectName.empty());
 }
 
 TEST(VmTamper, StepTrigger)
@@ -365,9 +366,9 @@ void main() {
     spec.atStep = 50;
     spec.addr = vm.entryLocalAddr("x");
     spec.bytes = {0};
-    vm.setTamper(spec);
+    vm.addTamper(spec);
     RunResult r = vm.run();
-    EXPECT_TRUE(r.tamper.fired);
+    EXPECT_EQ(r.faultTampers.size(), 1u);
     // x=5 is re-stored each iteration, so one-byte corruption is
     // immediately overwritten; the program never escapes benignly --
     // unless the tamper lands between store and test. Either outcome
@@ -397,12 +398,12 @@ void main() {
         spec.atStep = 500; // == fuel
         spec.addr = vm.entryLocalAddr("x");
         spec.bytes = {7};
-        vm.setTamper(spec);
+        vm.addTamper(spec);
         RunResult r = vm.run();
         EXPECT_EQ(r.exit, ExitKind::OutOfFuel)
             << static_cast<int>(eng);
         EXPECT_EQ(r.steps, 500u) << static_cast<int>(eng);
-        EXPECT_TRUE(r.tamper.fired) << static_cast<int>(eng);
+        EXPECT_EQ(r.faultTampers.size(), 1u) << static_cast<int>(eng);
     }
 }
 

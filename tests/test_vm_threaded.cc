@@ -1,13 +1,14 @@
 /**
  * @file
  * Engine differential suite (ctest label `vm-diff`): the threaded
- * dispatch engine — per-event and batched delivery — must be
+ * dispatch engine, which delivers events in batches, must be
  * observationally identical to the golden-reference switch
- * interpreter. Every workload of the paper's suite plus the fuzz seed
- * corpus runs through all three configurations and we compare:
+ * interpreter, which delivers them one by one. Every workload of the
+ * paper's suite plus the fuzz seed corpus runs through both engines
+ * and we compare:
  *
  *  - the complete RunResult (exit kind/code, output, step count,
- *    input events, branch trace, trap message, tamper record);
+ *    input events, branch trace, trap message, tamper records);
  *  - the full observer event stream (enter/exit/branch/inst with
  *    effective addresses), captured by a recording observer;
  *  - detector statistics and alarm lists (benign and tampered runs);
@@ -89,13 +90,11 @@ struct EngineCfg
 {
     const char *name;
     VmEngine engine;
-    bool batched;
 };
 
 constexpr EngineCfg kConfigs[] = {
-    {"switch", VmEngine::Switch, false},
-    {"threaded", VmEngine::Threaded, false},
-    {"threaded+batched", VmEngine::Threaded, true},
+    {"switch", VmEngine::Switch},
+    {"threaded", VmEngine::Threaded},
 };
 
 /** Everything one run produces that must match across engines. */
@@ -119,9 +118,8 @@ runOne(const CompiledProgram &prog,
     vm.setInputs(inputs);
     vm.setFuel(fuel);
     vm.setEngine(cfg.engine);
-    vm.setBatchedDelivery(cfg.batched);
     if (tamper)
-        vm.setTamper(*tamper);
+        vm.addTamper(*tamper);
     Detector det(prog);
     Recorder rec;
     vm.addObserver(&det);
@@ -146,10 +144,15 @@ expectSameResult(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.inputEventPcs, b.inputEventPcs) << what;
     EXPECT_EQ(a.branchTrace, b.branchTrace) << what;
     EXPECT_EQ(a.trapMessage, b.trapMessage) << what;
-    EXPECT_EQ(a.tamper.fired, b.tamper.fired) << what;
-    EXPECT_EQ(a.tamper.addr, b.tamper.addr) << what;
-    EXPECT_EQ(a.tamper.oldBytes, b.tamper.oldBytes) << what;
-    EXPECT_EQ(a.tamper.newBytes, b.tamper.newBytes) << what;
+    ASSERT_EQ(a.faultTampers.size(), b.faultTampers.size()) << what;
+    for (size_t i = 0; i < a.faultTampers.size(); i++) {
+        const TamperRecord &x = a.faultTampers[i];
+        const TamperRecord &y = b.faultTampers[i];
+        EXPECT_EQ(x.fired, y.fired) << what;
+        EXPECT_EQ(x.addr, y.addr) << what;
+        EXPECT_EQ(x.oldBytes, y.oldBytes) << what;
+        EXPECT_EQ(x.newBytes, y.newBytes) << what;
+    }
 }
 
 void
@@ -266,7 +269,6 @@ TEST_P(WorkloadDiff, TimingIdentical)
             Vm vm(prog.mod);
             vm.setInputs(wl().benignInputs);
             vm.setEngine(kConfigs[c].engine);
-            vm.setBatchedDelivery(kConfigs[c].batched);
             Detector det(prog);
             det.setRequestRing(&cpu.requestRing());
             vm.addObserver(&det);
@@ -345,7 +347,7 @@ TEST(VmDiffEdge, StepTamperAtExactFuelBoundary)
                                 &spec);
         EXPECT_EQ(got.res.exit, ExitKind::OutOfFuel) << cfg.name;
         EXPECT_EQ(got.res.steps, cap) << cfg.name;
-        EXPECT_TRUE(got.res.tamper.fired) << cfg.name;
+        EXPECT_EQ(got.res.faultTampers.size(), 1u) << cfg.name;
     }
 }
 
@@ -353,12 +355,11 @@ TEST(VmDiffEdge, SwitchEngineStillSelectable)
 {
     // setEngine(Switch) genuinely changes the core; the two engines
     // otherwise agree, so check the knob via an engine-visible
-    // counter: only the threaded engine with batched delivery ever
-    // flushes event batches.
+    // counter: only the threaded engine ever flushes event batches.
     const Workload &w = workloadByName("portmap");
     CompiledProgram prog = compileAndAnalyze(w.source, w.name);
     RunCapture sw = runOne(prog, w.benignInputs, kConfigs[0]);
-    RunCapture th = runOne(prog, w.benignInputs, kConfigs[2]);
+    RunCapture th = runOne(prog, w.benignInputs, kConfigs[1]);
     EXPECT_EQ(sw.vm.eventBatchFlushes, 0u);
     EXPECT_GT(th.vm.eventBatchFlushes, 0u);
     EXPECT_EQ(sw.vm.instructions, th.vm.instructions);
