@@ -12,8 +12,8 @@
  * requests through a std::function sink. It is deliberately simple and
  * obviously correct; the optimized Detector (ipds/detector.h) must
  * produce byte-identical alarms, statistics and request streams, and
- * differential tests (tests/test_detector.cc, tests/test_e2e.cc) plus
- * the abl_hotpath bench hold the two in lockstep.
+ * differential tests (DetectorGolden in tests/test_detector.cc,
+ * tests/test_e2e.cc) hold the two in lockstep.
  *
  * Do not optimize this class — its value is being the fixed point the
  * fast path is measured and verified against.

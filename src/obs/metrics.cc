@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/diag.h"
 
@@ -84,26 +83,6 @@ MetricsRegistry::merge(const MetricsRegistry &o)
             break;
         }
     }
-}
-
-uint64_t
-MetricsRegistry::histQuantile(MetricHandle h, double q) const
-{
-    const uint64_t count = slot[h];
-    if (count == 0)
-        return 0;
-    if (!(q > 0.0)) // also catches NaN
-        q = 0.0;
-    uint64_t rank = static_cast<uint64_t>(
-        std::ceil(std::min(q, 1.0) * static_cast<double>(count)));
-    rank = std::clamp<uint64_t>(rank, 1, count);
-    uint64_t seen = 0;
-    for (uint32_t b = 0; b + 1 < kHistBuckets; b++) {
-        seen += slot[h + 2 + b];
-        if (seen >= rank)
-            return (uint64_t(1) << b) - 1;
-    }
-    return ~uint64_t(0);
 }
 
 void

@@ -82,14 +82,6 @@ class MetricsRegistry
         return slot[h + 2 + b];
     }
 
-    /**
-     * Quantile @p q (in [0, 1]) of histogram @p h, as the upper bound
-     * of the bucket holding its ceil(q * count)-th smallest
-     * observation: 0 for bucket 0, 2^b - 1 for bucket b, and
-     * UINT64_MAX for the clamped last bucket. 0 when empty.
-     */
-    uint64_t histQuantile(MetricHandle h, double q) const;
-
     /** Look a metric up by name; kNoMetric if absent. */
     MetricHandle find(const std::string &name) const;
 

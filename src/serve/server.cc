@@ -1328,12 +1328,5 @@ Server::statszText() const
     return impl->statszLocked();
 }
 
-uint64_t
-Server::ingestLatencyQuantileMicros(double q) const
-{
-    std::lock_guard<std::mutex> lk(impl->mtx);
-    return impl->reg.histQuantile(impl->hLatency, q);
-}
-
 } // namespace serve
 } // namespace ipds

@@ -195,15 +195,6 @@ class Server
     /** The /statsz text: server section + per-tenant sections. */
     std::string statszText() const;
 
-    /**
-     * Quantile @p q of the per-segment ingest latency (enqueue to
-     * decoded) in microseconds, over every segment since start(): the
-     * upper bound of the power-of-two bucket of the
-     * ipds.serve.ingest_latency_us_hist histogram that holds it
-     * (obs::MetricsRegistry::histQuantile).
-     */
-    uint64_t ingestLatencyQuantileMicros(double q) const;
-
   private:
     struct Impl;
     std::unique_ptr<Impl> impl;

@@ -893,8 +893,6 @@ Vm::fireDueEventTampers()
 void
 Vm::fireTamperSpec(const TamperSpec &spec, TamperRecord &rec)
 {
-    rec.fired = true;
-
     uint64_t addr = spec.addr;
     std::vector<uint8_t> bytes = spec.bytes;
 

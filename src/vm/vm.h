@@ -172,7 +172,6 @@ struct TamperSpec
 /** Record of what a tamper actually did (for reports and replay). */
 struct TamperRecord
 {
-    bool fired = false;
     uint64_t addr = 0;
     std::string objectName; ///< object hit, if a named local
     std::vector<uint8_t> oldBytes;

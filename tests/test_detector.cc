@@ -350,20 +350,29 @@ TEST(DetectorGolden, BenignWorkloadsMatchReference)
 {
     // The pre-overhaul implementation is preserved verbatim as
     // ReferenceDetector; both observe the same execution and must
-    // produce identical alarms and statistics on every workload.
+    // produce identical alarms, statistics and request streams on
+    // every workload.
     for (const auto &wl : allWorkloads()) {
         CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
         ReferenceDetector refDet(prog);
+        std::vector<IpdsRequest> refReqs, fastReqs;
+        refDet.setRequestSink(
+            [&](const IpdsRequest &rq) { refReqs.push_back(rq); });
         Detector fastDet(prog);
+        RequestRing ring; // no overflow sink: grows, drained in order
+        fastDet.setRequestRing(&ring);
         Vm vm(prog.mod);
         vm.setInputs(wl.benignInputs);
         vm.setRecordTrace(false);
         vm.addObserver(&refDet);
         vm.addObserver(&fastDet);
         vm.run();
+        ring.drain([&](const IpdsRequest &rq) { fastReqs.push_back(rq); });
         expectSameStats(refDet.stats(), fastDet.stats(), wl.name);
         expectSameAlarms(refDet.alarms(), fastDet.alarms(), wl.name);
         EXPECT_FALSE(fastDet.alarmed()) << wl.name;
+        EXPECT_FALSE(refReqs.empty()) << wl.name;
+        EXPECT_TRUE(refReqs == fastReqs) << wl.name;
     }
 }
 

@@ -478,9 +478,6 @@ TEST(FaultOracle, EnginesStayBitIdenticalUnderEveryFault)
         ASSERT_EQ(sw.res.faultTampers.size(), th.res.faultTampers.size())
             << what;
         for (size_t i = 0; i < sw.res.faultTampers.size(); i++) {
-            EXPECT_EQ(sw.res.faultTampers[i].fired,
-                      th.res.faultTampers[i].fired)
-                << what;
             EXPECT_EQ(sw.res.faultTampers[i].addr,
                       th.res.faultTampers[i].addr)
                 << what;
@@ -493,35 +490,39 @@ TEST(FaultOracle, EnginesStayBitIdenticalUnderEveryFault)
 
 TEST(FaultOracle, ZeroRatePlanIsFullyTransparent)
 {
-    // An *armed* injector with nothing to inject must be invisible:
+    // An injector with nothing to inject must be invisible, whether
+    // its plan is armed with every rate zero or disabled outright:
     // same alarms, stats and cycles as the direct wiring.
-    const Workload &wl = workloadByName("xinetd");
-    CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
-
     FaultPlan inert;
     inert.seed = 99; // enabled, but every rate zero
     inert.maxMemFaults = 0;
-    Capture viaInjector = runFaulted(
-        prog, wl.benignInputs, inert, VmEngine::Threaded, false);
+    for (const auto &wl : allWorkloads()) {
+        CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
+        TimingConfig cfg;
+        CpuModel cpu(cfg);
+        Vm vm(prog.mod);
+        vm.setInputs(wl.benignInputs);
+        Detector det(prog);
+        det.setRequestRing(&cpu.requestRing());
+        vm.addObserver(&det);
+        vm.addObserver(&cpu);
+        RunResult direct = vm.run();
+        EXPECT_TRUE(det.alarms().empty()) << wl.name;
 
-    TimingConfig cfg;
-    CpuModel cpu(cfg);
-    Vm vm(prog.mod);
-    vm.setInputs(wl.benignInputs);
-    Detector det(prog);
-    det.setRequestRing(&cpu.requestRing());
-    vm.addObserver(&det);
-    vm.addObserver(&cpu);
-    RunResult direct = vm.run();
-
-    EXPECT_TRUE(det.stats() == viaInjector.det);
-    EXPECT_TRUE(cpu.stats() == viaInjector.tim);
-    EXPECT_TRUE(det.alarms().empty());
-    EXPECT_TRUE(viaInjector.alarms.empty());
-    EXPECT_EQ(direct.output, viaInjector.res.output);
-    EXPECT_EQ(direct.steps, viaInjector.res.steps);
-    FaultStats zero;
-    EXPECT_TRUE(viaInjector.fault == zero);
+        for (const FaultPlan &plan : {inert, FaultPlan{}}) {
+            std::string what = wl.name +
+                (plan.enabled() ? "/inert" : "/disabled");
+            Capture viaInjector = runFaulted(
+                prog, wl.benignInputs, plan, VmEngine::Threaded, false);
+            EXPECT_TRUE(det.stats() == viaInjector.det) << what;
+            EXPECT_TRUE(cpu.stats() == viaInjector.tim) << what;
+            EXPECT_TRUE(viaInjector.alarms.empty()) << what;
+            EXPECT_EQ(direct.output, viaInjector.res.output) << what;
+            EXPECT_EQ(direct.steps, viaInjector.res.steps) << what;
+            FaultStats zero;
+            EXPECT_TRUE(viaInjector.fault == zero) << what;
+        }
+    }
 }
 
 TEST(FaultOracle, NoPanicReachableFromFaultStorms)
@@ -691,7 +692,6 @@ void main() {
             RunResult r = vm.run();
             if (tampered) {
                 EXPECT_EQ(r.faultTampers.size(), 1u) << what;
-                EXPECT_TRUE(r.faultTampers[0].fired) << what;
             }
             EXPECT_GT(cpu.stats().engine.spillEvents, 0u) << what;
             EXPECT_GT(cpu.stats().engine.fillEvents, 0u) << what;

@@ -73,42 +73,6 @@ TEST(Metrics, HistogramBucketsByBitWidthWithClamp)
               1u);
 }
 
-TEST(Metrics, HistogramQuantileIsItsBucketUpperBound)
-{
-    MetricsRegistry reg;
-    auto h = reg.histogram("ipds.test.hist");
-    EXPECT_EQ(reg.histQuantile(h, 0.5), 0u); // empty
-    for (uint64_t v : {0ull, 1ull, 3ull, 5ull, 7ull, 100ull, 1000ull,
-                       1ull << 40})
-        reg.observe(h, v);
-    // 8 observations, so q = k/8 picks the k-th smallest exactly.
-    EXPECT_EQ(reg.histQuantile(h, 0.0), 0u);    // 0: bucket 0
-    EXPECT_EQ(reg.histQuantile(h, 0.125), 0u);
-    EXPECT_EQ(reg.histQuantile(h, 0.25), 1u);   // 1: bucket [1, 1]
-    EXPECT_EQ(reg.histQuantile(h, 0.375), 3u);  // 3: bucket [2, 3]
-    EXPECT_EQ(reg.histQuantile(h, 0.5), 7u);    // 5: bucket [4, 7]
-    EXPECT_EQ(reg.histQuantile(h, 0.625), 7u);  // 7: bucket [4, 7]
-    EXPECT_EQ(reg.histQuantile(h, 0.6), 7u);    // rounds up to the 5th
-    EXPECT_EQ(reg.histQuantile(h, 0.75), 127u); // 100: [64, 127]
-    EXPECT_EQ(reg.histQuantile(h, 0.875), 1023u);
-    // 2^40 lands in the clamped last bucket, which has no bound.
-    EXPECT_EQ(reg.histQuantile(h, 1.0), ~0ull);
-    EXPECT_EQ(reg.histQuantile(h, 2.0), ~0ull);
-    EXPECT_EQ(reg.histQuantile(h, -1.0), 0u);
-
-    // Merging two halves answers like the whole.
-    MetricsRegistry a, b;
-    auto ha = a.histogram("ipds.test.hist");
-    auto hb = b.histogram("ipds.test.hist");
-    for (uint64_t v : {0ull, 1ull, 3ull, 5ull})
-        a.observe(ha, v);
-    for (uint64_t v : {7ull, 100ull, 1000ull, 1ull << 40})
-        b.observe(hb, v);
-    a.merge(b);
-    for (double q : {0.0, 0.25, 0.5, 0.75, 0.875, 1.0})
-        EXPECT_EQ(a.histQuantile(ha, q), reg.histQuantile(h, q)) << q;
-}
-
 TEST(Metrics, MergeAddsCountersMaxesGaugesAndRegistersMissing)
 {
     MetricsRegistry a, b;
@@ -133,6 +97,24 @@ TEST(Metrics, MergeAddsCountersMaxesGaugesAndRegistersMissing)
     ASSERT_NE(a.find("h"), obs::kNoMetric);
     EXPECT_EQ(a.value(a.find("h")), 2u);
     EXPECT_EQ(a.histSum(a.find("h")), 4u);
+
+    // Merging two halves of a histogram gives the whole.
+    MetricsRegistry whole, lo, hi;
+    auto hw = whole.histogram("ipds.test.hist");
+    auto hl = lo.histogram("ipds.test.hist");
+    auto hh = hi.histogram("ipds.test.hist");
+    for (uint64_t v : {0ull, 1ull, 3ull, 5ull})
+        lo.observe(hl, v);
+    for (uint64_t v : {7ull, 100ull, 1000ull, 1ull << 40})
+        hi.observe(hh, v);
+    for (uint64_t v : {0ull, 1ull, 3ull, 5ull, 7ull, 100ull, 1000ull,
+                       1ull << 40})
+        whole.observe(hw, v);
+    lo.merge(hi);
+    EXPECT_EQ(lo.value(hl), whole.value(hw));
+    EXPECT_EQ(lo.histSum(hl), whole.histSum(hw));
+    for (uint32_t i = 0; i < MetricsRegistry::kHistBuckets; i++)
+        EXPECT_EQ(lo.histBucket(hl, i), whole.histBucket(hw, i)) << i;
 }
 
 TEST(Metrics, MergeIsAssociativeOverShardOrder)

@@ -39,6 +39,7 @@
 #include "support/diag.h"
 #include "timing/config.h"
 #include "vm/vm.h"
+#include "workloads/workloads.h"
 
 using namespace ipds;
 
@@ -667,6 +668,65 @@ TEST(Service, FourConcurrentStreamsTwoTenants)
               std::string::npos);
     std::remove(clean.c_str());
     std::remove(dirty.c_str());
+}
+
+TEST(Service, PaperWorkloadsStreamedConcurrentlyMatchOfflineReplay)
+{
+    // Each of the ten paper workloads: two clients stream the same
+    // multi-session trace at once, and each gets offline replay's
+    // verdict and metric lines.
+    for (const Workload &wl : allWorkloads()) {
+        CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
+        std::string path = tmpPath("paper_" + wl.name + ".trc");
+        Session::builder()
+            .program(prog)
+            .inputs(wl.benignInputs)
+            .sessions(4)
+            .plan(CapturePlan(path))
+            .build()
+            .run();
+        Session off =
+            Session::builder().program(prog).plan(ReplayPlan(path))
+                .build();
+        off.run();
+
+        serve::ServerConfig cfg;
+        cfg.socketPath = tmpPath("paper_" + wl.name + ".sock");
+        cfg.threads = 2;
+        serve::Server srv(prog, cfg);
+        srv.start();
+        std::vector<serve::StreamResult> results(2);
+        std::vector<std::thread> ts;
+        for (size_t i = 0; i < results.size(); i++)
+            ts.emplace_back([&, i] {
+                try {
+                    serve::Client c;
+                    connectRetry(c, cfg.socketPath);
+                    c.helloV2("tenant" + std::to_string(i),
+                              replay::moduleContentHash(prog.mod));
+                    c.sendTraceFile(path, 512);
+                    results[i] = c.end();
+                } catch (const FatalError &e) {
+                    results[i].text = e.what();
+                }
+            });
+        for (auto &t : ts)
+            t.join();
+        srv.waitForStreams(results.size());
+        srv.stopAndJoin();
+
+        EXPECT_EQ(srv.streamsFailed(), 0u) << wl.name;
+        for (const serve::StreamResult &r : results) {
+            ASSERT_TRUE(r.ok) << wl.name << ": " << r.text;
+            EXPECT_EQ(r.sessions, 4u) << wl.name;
+            EXPECT_EQ(r.alarmDigest, serve::alarmDigest(off.alarms()))
+                << wl.name;
+            EXPECT_EQ(metricLines(r.text),
+                      metricLines(off.metricsText()))
+                << wl.name;
+        }
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Service, DestroyWhileStreamsStillDecoding)

@@ -148,7 +148,6 @@ expectSameResult(const RunResult &a, const RunResult &b,
     for (size_t i = 0; i < a.faultTampers.size(); i++) {
         const TamperRecord &x = a.faultTampers[i];
         const TamperRecord &y = b.faultTampers[i];
-        EXPECT_EQ(x.fired, y.fired) << what;
         EXPECT_EQ(x.addr, y.addr) << what;
         EXPECT_EQ(x.oldBytes, y.oldBytes) << what;
         EXPECT_EQ(x.newBytes, y.newBytes) << what;
