@@ -6,10 +6,10 @@
  * `--attack`/`--fault-seed` configure an ExecPlan, `--record` wraps
  * it in a CapturePlan (`--sessions` repeats the session stream into
  * a multi-session trace), `--replay` swaps in a ReplayPlan
- * (`--par-threads`, `--seek-session` and `--seek-chunk` select its
- * parallel and seek modes). --stats prints the session's metrics
- * export (the same JSON the benches publish); --json writes it to a
- * file.
+ * (`--threads` spreads it over workers; `--seek-session` and
+ * `--seek-chunk` select its seek modes). --stats prints the session's
+ * metrics export (the same JSON the benches publish); --json writes
+ * it to a file.
  *
  * Exit code: 0 clean run, 2 IPDS alarm, 1 usage/compile error.
  */
@@ -70,7 +70,6 @@ main(int argc, char **argv)
     std::string recordPath;
     std::string replayPath;
     uint32_t sessions = 1;
-    uint32_t parThreads = UINT32_MAX;   // sentinel: flag not given
     uint32_t seekSession = UINT32_MAX;  // sentinel: flag not given
     uint64_t seekChunk = UINT64_MAX;    // sentinel: flag not given
     unsigned threads = 1;
@@ -95,9 +94,6 @@ main(int argc, char **argv)
                  "repeat the session stream N times (default 1)");
     args.strOpt("replay", &replayPath,
                 "re-detect a recorded trace instead of executing");
-    args.uintOpt("par-threads", &parThreads,
-                 "replay in parallel through the trace's chunk index "
-                 "on N workers (0 = one per core)");
     args.uintOpt("seek-session", &seekSession,
                  "start --replay at this session, skipping every "
                  "earlier chunk");
@@ -147,10 +143,12 @@ main(int argc, char **argv)
         return 1;
     }
     if (replayPath.empty() &&
-        (parThreads != UINT32_MAX || seekSession != UINT32_MAX ||
+        (threads != 1 || seekSession != UINT32_MAX ||
          seekChunk != UINT64_MAX)) {
+        // A live run or capture is one shard: only a replay has work
+        // for more than one thread.
         std::fprintf(stderr,
-                     "--par-threads/--seek-session/--seek-chunk "
+                     "--threads/--seek-session/--seek-chunk "
                      "require --replay\n");
         return 1;
     }
@@ -245,8 +243,6 @@ main(int argc, char **argv)
                          recordPath.c_str());
         } else if (!replayPath.empty()) {
             ReplayPlan plan(replayPath);
-            if (parThreads != UINT32_MAX)
-                plan.parallel(parThreads);
             if (seekSession != UINT32_MAX)
                 plan.seekSession(seekSession);
             if (seekChunk != UINT64_MAX)

@@ -138,8 +138,6 @@ inline constexpr const char *kReplaySnapshotsWritten =
     "ipds.replay.snapshots_written";
 inline constexpr const char *kReplaySnapshotsUsed =
     "ipds.replay.snapshots_used";
-inline constexpr const char *kReplayWorkers = ///< gauge (run config)
-    "ipds.replay.workers";
 
 // Detection service, per-tenant transport meters (src/serve).
 // Each tenant's registry otherwise mirrors the offline-replay

@@ -37,28 +37,16 @@ Session::Builder::build()
         fatal("Session: plans are mutually exclusive — configure "
               "exactly one plan()");
     if (const ReplayPlan *rp = std::get_if<ReplayPlan>(&o.plan)) {
-        if ((rp->parallelSet ? 1 : 0) + (rp->hasSeekSession ? 1 : 0) +
-                (rp->hasSeekChunk ? 1 : 0) > 1)
-            fatal("Session: ReplayPlan parallel(), seekSession() and "
-                  "seekChunk() are mutually exclusive");
-        // Recipe checks that need the capture's geometry read just
-        // the header now, so a bad plan fails at build() instead of
-        // mid-replay.
-        if ((rp->parallelSet && rp->parallelWorkers > 0) ||
-            rp->hasSeekChunk) {
-            replay::TraceMeta m = replay::readTraceHeader(rp->path);
-            if (rp->parallelSet && m.hasTiming &&
-                rp->parallelWorkers > m.shards)
-                fatal("Session: parallel(%u) exceeds the capture "
-                      "shard geometry — a timing trace parallelizes "
-                      "per capture shard and '%s' was recorded with "
-                      "%u shard(s)",
-                      rp->parallelWorkers, rp->path.c_str(), m.shards);
-            if (rp->hasSeekChunk && m.hasTiming)
-                fatal("Session: seekChunk() is not available for "
-                      "timing traces (the CPU scoreboard is not "
-                      "snapshotted) — use seekSession()");
-        }
+        if (rp->hasSeekSession && rp->hasSeekChunk)
+            fatal("Session: ReplayPlan seekSession() and seekChunk() "
+                  "are mutually exclusive");
+        // Read just the header now, so a bad plan fails at build()
+        // instead of mid-replay.
+        if (rp->hasSeekChunk &&
+            replay::readTraceHeader(rp->path).hasTiming)
+            fatal("Session: seekChunk() is not available for timing "
+                  "traces (the CPU scoreboard is not snapshotted) — "
+                  "use seekSession()");
     }
     if (!o.detectorExplicit && o.useTiming)
         o.detectorOn = o.timingCfg.ipdsEnabled;
@@ -389,24 +377,17 @@ Session::run()
 Session &
 Session::runReplay(const ReplayPlan &rp)
 {
-    const bool wantIndex =
-        rp.parallelSet || rp.hasSeekSession || rp.hasSeekChunk;
-    replay::IndexedLoad idxInfo;
-    replay::TraceFile tf = wantIndex
-        ? replay::TraceFile::loadIndexed(rp.path, &idxInfo)
-        : replay::TraceFile::load(rp.path);
+    const replay::TraceFile tf = replay::TraceFile::load(rp.path);
     replay::ReplayEngine eng(tf, *opt.prog);
     const replay::TraceMeta &m = tf.meta();
     const std::vector<replay::ChunkRef> &chunks = tf.chunks();
 
     replay::ReplayRun run;
     run.indexBytes = tf.indexBytes();
-    run.indexMissing =
-        !(wantIndex ? idxInfo.usedIndex : tf.hasIndexFooter());
+    run.indexMissing = !tf.hasIndexFooter();
 
-    // Chunks sit in non-decreasing session order (shard streams
-    // concatenate in shard order), so a session's chunks are one
-    // contiguous range.
+    // Chunks sit in non-decreasing session order (the load rejects
+    // any other), so a session's chunks are one contiguous range.
     auto firstChunkOf = [&](uint32_t sess) {
         return static_cast<size_t>(
             std::lower_bound(chunks.begin(), chunks.end(), sess,
@@ -417,15 +398,15 @@ Session::runReplay(const ReplayPlan &rp)
             chunks.begin());
     };
 
-    // Every mode funnels its results into per-capture-shard slots and
-    // through replayReport(), as a served stream does, so the export
-    // shape never forks.
+    // Every mode replays contiguous session spans, one result each in
+    // session order, and reports them through replayReport(), as a
+    // served stream does, so the export shape never forks.
     std::vector<replay::ReplayShardResult> outs;
     auto t0 = std::chrono::steady_clock::now();
 
     if (rp.hasSeekSession || rp.hasSeekChunk) {
         // ---- seek: one span cursor over the trace tail; earlier
-        // chunks are never read (the chunk meter proves the skip).
+        // chunks are never decoded (the chunk meter proves the skip).
         outs.resize(1);
         run.seeks = 1;
         if (rp.hasSeekSession) {
@@ -451,10 +432,7 @@ Session::runReplay(const ReplayPlan &rp)
             const size_t k =
                 static_cast<size_t>(rp.seekChunkIdx);
             const uint32_t sess = chunks[k].session;
-            size_t sessStart = k;
-            while (sessStart > 0 &&
-                   chunks[sessStart - 1].session == sess)
-                sessStart--;
+            const size_t sessStart = firstChunkOf(sess);
 
             // Nearest preceding snapshot-opened chunk of the same
             // session; a damaged snapshot degrades to replaying the
@@ -466,8 +444,6 @@ Session::runReplay(const ReplayPlan &rp)
                 if (!(chunks[i].flags & replay::kChunkHasSnapshot))
                     continue;
                 try {
-                    if (tf.crcDeferred())
-                        tf.checkChunkCrc(chunks[i]);
                     replay::TraceReader r(tf.payload(chunks[i]),
                                           chunks[i].payloadLen);
                     if (r.tag() != replay::Tag::Snapshot)
@@ -496,82 +472,27 @@ Session::runReplay(const ReplayPlan &rp)
             }
             eng.replayChunks(cur, from, chunks.size(), outs[0]);
         }
-    } else if (rp.parallelSet && idxInfo.usedIndex) {
-        // ---- parallel: detector-only traces split per session (each
-        // session's detector starts fresh); timing traces split per
-        // capture shard (the CpuModel persists across a shard's
-        // sessions). Units merge back into capture-shard slots in
-        // session order, so every aggregate is bit-identical to the
-        // sequential replay at any worker count.
-        struct Unit
-        {
-            size_t chunkBegin, chunkEnd;
-            uint32_t sessBegin, sessEnd;
-        };
-        std::vector<Unit> units;
-        if (m.hasTiming) {
-            for (uint32_t s = 0; s < m.shards; s++) {
-                uint32_t b = static_cast<uint32_t>(
-                    uint64_t(s) * m.sessions / m.shards);
-                uint32_t e = static_cast<uint32_t>(
-                    uint64_t(s + 1) * m.sessions / m.shards);
-                if (b == e)
-                    continue;
-                units.push_back(
-                    {firstChunkOf(b), firstChunkOf(e), b, e});
-            }
-        } else {
-            for (uint32_t s = 0; s < m.sessions; s++)
-                units.push_back(
-                    {firstChunkOf(s), firstChunkOf(s + 1), s, s + 1});
-        }
-
-        unsigned workers = rp.parallelWorkers
-            ? rp.parallelWorkers
-            : ThreadPool::defaultWorkers();
-        if (workers > units.size())
-            workers = static_cast<unsigned>(units.size());
-        if (workers == 0)
-            workers = 1;
-        run.workers = workers;
-
-        std::vector<replay::ReplayShardResult> unitOuts(units.size());
-        {
-            ThreadPool pool(workers);
-            pool.parallelFor(
-                static_cast<uint32_t>(units.size()),
-                [&](uint32_t u) {
-                    const Unit &w = units[u];
-                    replay::ReplayEngine::ShardCursor cur(
-                        eng, w.sessBegin, w.sessEnd);
-                    eng.replayChunks(cur, w.chunkBegin, w.chunkEnd,
-                                     unitOuts[u]);
-                });
-        }
-
-        outs.resize(m.shards);
-        size_t u = 0;
-        for (uint32_t s = 0; s < m.shards; s++) {
-            const uint32_t e = static_cast<uint32_t>(
-                uint64_t(s + 1) * m.sessions / m.shards);
-            for (; u < units.size() && units[u].sessEnd <= e; u++)
-                outs[s].merge(unitOuts[u]);
-        }
     } else {
-        // ---- sequential (also the v1 / damaged-footer fallback).
-        // Shard partition comes from the capture (aggregates are a
-        // pure function of (sessions, shards)); threads only selects
-        // replay parallelism, joined in shard order like the live
-        // path.
-        outs.resize(m.shards);
-        if (m.shards == 1 && opt.threads == 1) {
-            eng.replayShard(0, outs[0]);
-        } else {
-            ThreadPool pool(opt.threads);
-            pool.parallelFor(m.shards, [&](uint32_t s) {
-                eng.replayShard(s, outs[s]);
-            });
-        }
+        // ---- full replay on threads() workers. A timing trace
+        // splits per capture shard, whose CpuModel carried across its
+        // sessions; a detector-only trace into at most one span per
+        // worker, each cursor resetting one Detector per session.
+        const unsigned workers =
+            opt.threads ? opt.threads : ThreadPool::defaultWorkers();
+        const uint32_t spans =
+            m.hasTiming ? m.shards : std::min(workers, m.sessions);
+        auto bound = [&](uint32_t k) {
+            return static_cast<uint32_t>(uint64_t(k) * m.sessions /
+                                         spans);
+        };
+        outs.resize(spans);
+        ThreadPool pool(std::min(workers, spans));
+        pool.parallelFor(spans, [&](uint32_t k) {
+            replay::ReplayEngine::ShardCursor cur(eng, bound(k),
+                                                  bound(k + 1));
+            eng.replayChunks(cur, firstChunkOf(bound(k)),
+                             firstChunkOf(bound(k + 1)), outs[k]);
+        });
     }
     run.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)

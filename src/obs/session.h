@@ -174,39 +174,25 @@ struct CapturePlan
 /**
  * Replay plan: re-detect a trace recorded by a CapturePlan instead of
  * executing the VM. The trace header supplies sessions, shards and
- * the TimingConfig (so sessions()/shards()/timing() are ignored);
- * threads() still selects replay parallelism, with the usual
- * shard-order deterministic join. Alarms, DetectorStats, TimingStats,
- * FaultStats and the shared metrics come out bit-identical to the
- * capture run; result() stays empty (there is no VM output to
- * reproduce). There is deliberately nothing else to configure here —
- * faults and tampers are captured, not re-injected. Corrupt,
- * truncated, version-skewed or foreign-module traces raise
- * FatalError.
+ * the TimingConfig (so sessions()/shards()/timing() are ignored).
+ * The trace loads with one strict scan that checks every chunk's
+ * header and CRC, v1 and v2 alike. A full replay then runs as
+ * contiguous session spans on threads() workers: one span per capture
+ * shard for a timing trace (its CpuModel carried across the shard's
+ * sessions), at most one per worker for a detector-only trace.
+ * Alarms, DetectorStats, TimingStats, FaultStats and the shared
+ * metrics come out bit-identical to the capture run at any thread
+ * count; result() stays empty (there is no VM output to reproduce).
+ * There is deliberately nothing else to configure here — faults and
+ * tampers are captured, not re-injected. Corrupt, truncated,
+ * version-skewed or foreign-module traces raise FatalError.
  */
 struct ReplayPlan
 {
     explicit ReplayPlan(std::string path_) : path(std::move(path_)) {}
 
-    /**
-     * Parallel mode: load the trace through its v2 chunk-index footer
-     * and replay per-session (detector-only) or per-capture-shard
-     * (timing) work units on @p workers ThreadPool workers
-     * (0 = one per hardware core). Results merge in session order and
-     * are bit-identical to the sequential replay at any worker count.
-     * v1 traces (no footer) degrade to the sequential path with
-     * ipds.replay.index_missing = 1. Mutually exclusive with the seek
-     * entry points below.
-     */
-    ReplayPlan &parallel(unsigned workers = 0)
-    {
-        parallelSet = true;
-        parallelWorkers = workers;
-        return *this;
-    }
-
-    /** Start replay at session @p s, skipping every earlier chunk
-     *  (the index makes the skip O(1) in decoded bytes). */
+    /** Start replay at session @p s on one cursor: earlier chunks
+     *  are checked at load but never decoded. */
     ReplayPlan &seekSession(uint32_t s)
     {
         hasSeekSession = true;
@@ -220,7 +206,7 @@ struct ReplayPlan
      * same session (or that session's start when none precedes it).
      * Alarms before the resume point are not re-raised; session-end
      * stats are exact (the snapshot carries the running counters).
-     * Rejected for timing traces at build().
+     * Rejected for timing traces at build(), and with seekSession().
      */
     ReplayPlan &seekChunk(uint64_t k)
     {
@@ -230,8 +216,6 @@ struct ReplayPlan
     }
 
     std::string path;
-    bool parallelSet = false;
-    unsigned parallelWorkers = 0;
     bool hasSeekSession = false;
     uint32_t seekSessionIdx = 0;
     bool hasSeekChunk = false;
@@ -382,7 +366,8 @@ class Session::Builder
         return *this;
     }
 
-    /** Worker threads (default 1; 0 = one per hardware core). */
+    /** Worker threads (default 1; 0 = one per hardware core): they
+     *  run the shards, or a ReplayPlan's session spans. */
     Builder &threads(unsigned t)
     {
         o.threads = t;

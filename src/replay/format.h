@@ -68,7 +68,7 @@ inline constexpr unsigned char kTraceMagic[8] = {'I', 'P', 'D', 'S',
 /** Bump on ANY encoding change (see versioning policy above). */
 inline constexpr uint32_t kTraceVersion = 2;
 
-/** Oldest version readers still accept (v1 replays sequentially). */
+/** Oldest version readers still accept (v1 has no index footer). */
 inline constexpr uint32_t kMinTraceVersion = 1;
 
 /** Fixed byte counts of the framing structures. */
@@ -134,9 +134,10 @@ inline constexpr size_t kChunkPayloadCap = 48 * 1024;
 //   u64 firstSeq     (events recorded in this session before the chunk)
 //   u64 endSeq       (= firstSeq + events)
 //
-// The footer is strictly advisory: a reader that finds it missing,
-// truncated, or corrupt falls back to the sequential scan (which
-// recomputes the identical index) instead of failing the file.
+// The footer is strictly advisory and no reader loads from it: the
+// scan (TraceFile) builds the identical index from the chunk headers
+// and validates the footer as it goes, so a missing, truncated or
+// corrupt footer costs ipds.replay.index_missing, never the file.
 
 /** Reserved chunk session index marking the footer chunk (v2). */
 inline constexpr uint32_t kIndexSession = 0xFFFFFFFFu;

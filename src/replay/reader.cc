@@ -274,9 +274,8 @@ TraceFile::parse(ValidateResult *issues)
         }
         prevSession = c.session;
         first = false;
-        // Session-relative event sequence: the scan computes the same
-        // values the footer records, so the two indexes are
-        // field-for-field interchangeable.
+        // Session-relative event sequence: the same values the writer
+        // records in the footer's entries.
         if (c.session != seqSession) {
             seqSession = c.session;
             seq = 0;
@@ -312,131 +311,6 @@ TraceFile
 TraceFile::load(const std::string &path)
 {
     return fromBytes(readFile(path));
-}
-
-bool
-TraceFile::parseFromFooter(std::string *reason)
-{
-    auto bail = [&](const char *why) {
-        if (reason)
-            *reason = why;
-        return false;
-    };
-
-    const uint8_t *b = bytes_.data();
-    const size_t n = bytes_.size();
-
-    std::string err;
-    size_t hdr = 0;
-    if (parseHeader(b, n, meta_, hdr, &err) != ParseStatus::Ok)
-        return bail("header unreadable");
-    if (meta_.version < 2)
-        return bail("v1 trace has no index footer");
-    if (n < hdr + kChunkHeaderBytes + kIndexEntryBytes +
-                kIndexTrailerBytes)
-        return bail("file too short for an index footer");
-
-    const uint8_t *trailer = b + n - kIndexTrailerBytes;
-    if (std::memcmp(trailer, kIndexTrailerMagic, 8) != 0)
-        return bail("index trailer missing");
-    uint64_t footerOff = getU64(trailer + 8);
-    if (footerOff < hdr ||
-        footerOff + kChunkHeaderBytes + kIndexTrailerBytes > n)
-        return bail("index trailer offset out of range");
-
-    // A footer the sequential scan would take, ending at the trailer.
-    const size_t footerBytes = n - kIndexTrailerBytes - footerOff;
-    const IndexTail t = parseIndexTail(b + footerOff, footerBytes, true);
-    if (!t.footer || t.bytes != footerBytes)
-        return bail("index footer chunk unusable");
-
-    const size_t count =
-        (footerBytes - kChunkHeaderBytes) / kIndexEntryBytes;
-    const uint8_t *payload = b + footerOff + kChunkHeaderBytes;
-    std::vector<ChunkRef> idx;
-    idx.reserve(count);
-    uint64_t expectOff = hdr;
-    uint32_t prevSession = 0;
-    uint64_t prevEnd = 0;
-    for (size_t i = 0; i < count; ++i) {
-        ChunkIndexEntry e =
-            decodeIndexEntry(payload + i * kIndexEntryBytes);
-        if (e.fileOffset != expectOff)
-            return bail("index entries not contiguous");
-        if (e.payloadLen == 0 || e.payloadLen > 4 * kChunkPayloadCap)
-            return bail("index entry payload length impossible");
-        if (e.session >= meta_.sessions ||
-            (i > 0 && e.session < prevSession))
-            return bail("index entry sessions out of order");
-        bool newSession = i == 0 || e.session != prevSession;
-        if (e.firstSeq != (newSession ? 0 : prevEnd) ||
-            e.endSeq != e.firstSeq + e.events)
-            return bail("index entry sequence numbers inconsistent");
-        prevSession = e.session;
-        prevEnd = e.endSeq;
-        expectOff = e.fileOffset + kChunkHeaderBytes + e.payloadLen;
-        ChunkRef c;
-        c.payloadOff = e.fileOffset + kChunkHeaderBytes;
-        c.payloadLen = e.payloadLen;
-        c.events = e.events;
-        c.session = e.session;
-        c.flags = e.flags;
-        c.firstSeq = e.firstSeq;
-        c.endSeq = e.endSeq;
-        idx.push_back(c);
-    }
-    if (expectOff != footerOff)
-        return bail("index does not cover every data chunk");
-
-    index = std::move(idx);
-    hasFooter_ = true;
-    indexBytes_ = n - footerOff;
-    crcDeferred_ = true;
-    return true;
-}
-
-TraceFile
-TraceFile::fromBytesIndexed(std::vector<uint8_t> bytes,
-                            IndexedLoad *info)
-{
-    TraceFile f;
-    f.bytes_ = std::move(bytes);
-    std::string reason;
-    if (f.parseFromFooter(&reason)) {
-        if (info) {
-            info->usedIndex = true;
-            info->reason.clear();
-        }
-        return f;
-    }
-    // Degrade to the strict sequential scan (which throws on real
-    // defects, exactly like load()).
-    f.meta_ = TraceMeta{};
-    f.index.clear();
-    f.hasFooter_ = false;
-    f.indexBytes_ = 0;
-    f.crcDeferred_ = false;
-    f.parse(nullptr);
-    if (info) {
-        info->usedIndex = false;
-        info->reason = reason;
-    }
-    return f;
-}
-
-TraceFile
-TraceFile::loadIndexed(const std::string &path, IndexedLoad *info)
-{
-    return fromBytesIndexed(readFile(path), info);
-}
-
-void
-TraceFile::checkChunkCrc(const ChunkRef &c) const
-{
-    uint32_t stored = getU32(bytes_.data() + c.payloadOff - 4);
-    if (crc32(bytes_.data() + c.payloadOff, c.payloadLen) != stored)
-        fatal("trace: chunk CRC mismatch (at byte %zu)",
-              c.payloadOff);
 }
 
 TraceMeta

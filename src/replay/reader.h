@@ -9,9 +9,11 @@
  * every chunk CRC up front, and exposes the chunk index; all
  * malformedness — bad magic, version skew, CRC mismatches, truncation,
  * impossible lengths — surfaces as a recoverable FatalError naming the
- * byte offset, never as a panic or undefined behaviour. validate()
- * runs the same checks without throwing and returns a tally (the
- * bench/CLI probe for corrupt inputs).
+ * byte offset, never as a panic or undefined behaviour. The index
+ * always comes from this scan of the chunk headers; a v2 index footer
+ * is validated as advisory and never read back. validate() runs the
+ * same checks without throwing and tallies every defect class where
+ * load() stops at the first (the reject tests read the tally).
  *
  * parseHeader(), parseChunk() and parseIndexTail() frame a trace
  * incrementally; TraceFile and StreamDecoder (replay.h) both frame
@@ -50,8 +52,8 @@ struct ValidateResult
     uint64_t crcFailures = 0;      ///< header/chunk CRC mismatches
     uint64_t truncatedChunks = 0;  ///< bytes ran out mid-structure
     uint64_t versionMismatches = 0;
-    /** Footer/trailer defects. Advisory only — the index is always
-     *  recomputable by the sequential scan, so these never clear ok. */
+    /** Footer/trailer defects. Advisory only — the scan builds the
+     *  index from the chunk headers, so these never clear ok. */
     uint64_t indexDefects = 0;
     std::string error; ///< first problem found ("" when ok)
 };
@@ -127,13 +129,6 @@ struct IndexTail
 };
 IndexTail parseIndexTail(const uint8_t *p, size_t n, bool atEnd);
 
-/** How an indexed load resolved (see TraceFile::loadIndexed). */
-struct IndexedLoad
-{
-    bool usedIndex = false;
-    std::string reason; ///< why the footer was unusable ("" when used)
-};
-
 class TraceFile
 {
   public:
@@ -142,21 +137,6 @@ class TraceFile
 
     /** Parse an in-memory image (tests). Throws FatalError. */
     static TraceFile fromBytes(std::vector<uint8_t> bytes);
-
-    /**
-     * Load @p path through the v2 chunk-index footer when present and
-     * valid: the chunk index comes straight from the footer (one
-     * CRC-checked read) and per-chunk payload CRC verification is
-     * deferred to first touch (checkChunkCrc) — the single-pass win
-     * parallel replay splits across its workers. A missing, truncated
-     * or inconsistent footer degrades to the full sequential scan
-     * (info->usedIndex=false with the reason); it never fails a file
-     * the strict loader would accept.
-     */
-    static TraceFile loadIndexed(const std::string &path,
-                                 IndexedLoad *info);
-    static TraceFile fromBytesIndexed(std::vector<uint8_t> bytes,
-                                      IndexedLoad *info);
 
     /** Integrity scan of @p path without throwing. */
     static ValidateResult validate(const std::string &path);
@@ -175,13 +155,6 @@ class TraceFile
     /** Bytes of footer chunk + trailer (0 for v1 traces). */
     uint64_t indexBytes() const { return indexBytes_; }
 
-    /** True for indexed loads: payload CRCs were not verified at load
-     *  time and each consumer must call checkChunkCrc before decoding
-     *  a chunk. */
-    bool crcDeferred() const { return crcDeferred_; }
-    /** Verify @p c's payload CRC now; FatalError on mismatch. */
-    void checkChunkCrc(const ChunkRef &c) const;
-
   private:
     /**
      * Shared parser. With @p issues null the first defect is a
@@ -190,21 +163,17 @@ class TraceFile
      */
     void parse(ValidateResult *issues);
 
-    /** Try to build `index` from the footer; false = fall back. */
-    bool parseFromFooter(std::string *reason);
-
     TraceMeta meta_;
     std::vector<ChunkRef> index;
     std::vector<uint8_t> bytes_;
     bool hasFooter_ = false;
     uint64_t indexBytes_ = 0;
-    bool crcDeferred_ = false;
 };
 
 /**
- * Read and verify just the header of @p path (geometry validation
- * before committing to a full load). Throws FatalError on any header
- * defect.
+ * Read and verify just the header of @p path (a module hash or a
+ * recipe check before committing to a full load). Throws FatalError
+ * on any header defect.
  */
 TraceMeta readTraceHeader(const std::string &path);
 

@@ -81,7 +81,6 @@ replayReport(const TraceMeta &m,
     reg.add(reg.counter(n::kReplayIndexMissing), run.indexMissing);
     reg.add(reg.counter(n::kReplaySeeks), run.seeks);
     reg.add(reg.counter(n::kReplaySnapshotsUsed), run.snapshotsUsed);
-    reg.set(reg.gauge(n::kReplayWorkers), run.workers);
     reg.set(reg.gauge(n::kReplayEventsPerSec),
             run.seconds > 0.0
                 ? static_cast<uint64_t>(rep.total.events / run.seconds)
@@ -145,7 +144,7 @@ ReplayEngine::badPc(uint64_t pc)
 
 ReplayEngine::ShardCursor::ShardCursor(const ReplayEngine &e,
                                        uint32_t shard)
-    : eng(e), shard_(shard)
+    : eng(e)
 {
     const TraceMeta &m = eng.meta_;
     if (shard >= m.shards)
@@ -162,7 +161,7 @@ ReplayEngine::ShardCursor::ShardCursor(const ReplayEngine &e,
 ReplayEngine::ShardCursor::ShardCursor(const ReplayEngine &e,
                                        uint32_t begin_session,
                                        uint32_t end_session)
-    : eng(e), shard_(0xFFFFFFFFu)
+    : eng(e)
 {
     const TraceMeta &m = eng.meta_;
     if (begin_session >= end_session || end_session > m.sessions)
@@ -211,9 +210,8 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
     if (finished)
         fatal("replay: feed() after finish()");
     if (c.session < begin_ || c.session >= end_)
-        fatal("replay: chunk for session %u routed to shard %u "
-              "[%u, %u)",
-              c.session, shard_, begin_, end_);
+        fatal("replay: chunk for session %u routed to span [%u, %u)",
+              c.session, begin_, end_);
     out.chunks++;
     out.bytes += kChunkHeaderBytes + c.payloadLen;
     out.events += c.events;
@@ -258,7 +256,7 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
             open = true;
             expectNext = static_cast<uint32_t>(idx) + 1;
             if (detOn) {
-                // One Detector per shard, reset() between
+                // One Detector per cursor, reset() between
                 // sessions (the pooled-frames fast path): replay
                 // pays decode + detection per event, not a
                 // detector rebuild per session.
@@ -429,10 +427,10 @@ ReplayEngine::ShardCursor::feed(const ChunkRef &c,
             break;
           }
           case Tag::Snapshot: {
-            // Resume metadata, not an event: sequential replay and
-            // parallel spans that already cover the prefix skip the
-            // blob (counted — ipds.replay.snapshots_written must
-            // round-trip); only the seek path decodes one.
+            // Resume metadata, not an event: a cursor that already
+            // covers the prefix skips the blob (counted —
+            // ipds.replay.snapshots_written must round-trip); only
+            // the seek path decodes one.
             if (eng.meta_.version < 2)
                 fatal("trace: snapshot record in a v%u trace",
                       eng.meta_.version);
@@ -457,8 +455,8 @@ ReplayEngine::ShardCursor::finish()
     if (open)
         fatal("trace: truncated (a session has no end record)");
     if (out.runs != end_ - begin_)
-        fatal("trace: shard %u replayed %llu of %u sessions", shard_,
-              static_cast<unsigned long long>(out.runs),
+        fatal("trace: span [%u, %u) replayed %llu of %u sessions",
+              begin_, end_, static_cast<unsigned long long>(out.runs),
               end_ - begin_);
 
     if (cpu) {
@@ -489,8 +487,6 @@ ReplayEngine::replayChunks(ShardCursor &cur, size_t chunkBegin,
         const ChunkRef &c = chunks[i];
         if (c.session < cur.begin() || c.session >= cur.end())
             continue;
-        if (file_->crcDeferred())
-            file_->checkChunkCrc(c);
         cur.feed(c, file_->payload(c));
     }
     cur.finish();

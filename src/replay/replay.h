@@ -16,20 +16,24 @@
  * applied at their recorded commit points, so a tamper recorded into a
  * trace is detected identically on replay.
  *
- * Sharding reuses the live partition: the trace header carries the
- * capture's (sessions, shards), each replay shard owns a CpuModel and
- * per-session Detectors over session range [s*S/K, (s+1)*S/K), and
- * chunk framing guarantees a chunk never spans sessions, so shards
- * split the file at chunk boundaries. Results merge in shard order —
- * deterministic for any worker-thread count, like the Session facade.
+ * Work splits into contiguous session spans. Chunk framing guarantees
+ * a chunk never spans sessions, so spans split the file at chunk
+ * boundaries, and each span owns one cursor: a CpuModel for timing
+ * traces, carried across the span's sessions, and one Detector reset
+ * per session. A timing trace splits at the capture's shard
+ * boundaries [s*S/K, (s+1)*S/K), as its CpuModel persisted across a
+ * shard's sessions; a detector-only trace may split anywhere. Every
+ * exported metric adds or maxes, so span results merged in session
+ * order give the same report for any split and any worker count.
  *
  * The decode loop lives in ShardCursor, a push-style consumer fed one
- * chunk at a time. Offline replayShard() iterates a loaded TraceFile
- * into a cursor; StreamDecoder feeds the same cursors from a served
- * stream's bytes as they arrive (src/serve), ends the trace by the
- * same rule (parseIndexTail) and reports through the same
- * replayReport(), so ingest-time detection is bit-identical to
- * offline replay by construction, not by parallel maintenance.
+ * chunk at a time. Offline replay (replayChunks()) iterates a loaded
+ * TraceFile into cursors; StreamDecoder feeds the capture shards'
+ * cursors from a served stream's bytes as they arrive (src/serve),
+ * ends the trace by the same rule (parseIndexTail) and reports
+ * through the same replayReport(), so ingest-time detection is
+ * bit-identical to offline replay by construction, not by parallel
+ * maintenance.
  *
  * Defensive decoding: the engine validates every PC against the
  * module's instruction index, every function id, and its own shadow
@@ -86,7 +90,7 @@ struct ReplayRun
 {
     uint64_t indexBytes = 0; ///< footer chunk + trailer bytes read
     bool indexMissing = true;
-    uint64_t seeks = 0, snapshotsUsed = 0, workers = 1;
+    uint64_t seeks = 0, snapshotsUsed = 0;
     double seconds = 0; ///< wall clock, for events_per_sec
 };
 
@@ -109,9 +113,10 @@ void exportShardMetrics(const TraceMeta &m, const ReplayShardResult &r,
                         uint64_t traceDropped, obs::MetricsRegistry &reg);
 
 /**
- * Merge @p shards (in shard order) and build the replay metric block:
- * per shard its exportShardMetrics() block, then the ipds.replay.*
- * meters. Offline replay and the served Result both report through it.
+ * Merge @p shards (contiguous session spans, in session order) and
+ * build the replay metric block: per span its exportShardMetrics()
+ * block, then the ipds.replay.* meters. Offline replay and the served
+ * Result both report through it.
  */
 ReplayReport replayReport(const TraceMeta &m,
                           const std::vector<ReplayShardResult> &shards,
@@ -163,8 +168,8 @@ class ReplayEngine
 
         /**
          * Span mode: own sessions [begin_session, end_session)
-         * directly instead of a capture shard's partition (parallel
-         * work units, --seek-session).
+         * directly instead of a capture shard's partition (offline
+         * replay's spans, --seek-session).
          */
         ShardCursor(const ReplayEngine &eng, uint32_t begin_session,
                     uint32_t end_session);
@@ -204,7 +209,6 @@ class ReplayEngine
 
       private:
         const ReplayEngine &eng;
-        uint32_t shard_;
         uint32_t begin_;
         uint32_t end_;
         std::optional<CpuModel> cpu;
@@ -222,10 +226,8 @@ class ReplayEngine
     /**
      * Feed @p cur the chunks in [chunkBegin, chunkEnd) of the loaded
      * file that belong to its sessions, finish it and move its result
-     * into @p out: the loop of replayShard(), of a parallel work unit
-     * (a span cursor) and of a seek (a resumed one). Chunk payload
-     * CRCs deferred by an indexed load are verified here, inside the
-     * worker's span, so integrity checking parallelizes with decoding.
+     * into @p out: the loop of replayShard(), of an offline replay's
+     * span cursor and of a seek (a resumed one).
      */
     void replayChunks(ShardCursor &cur, size_t chunkBegin,
                       size_t chunkEnd, ReplayShardResult &out) const;

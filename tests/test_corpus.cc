@@ -32,7 +32,10 @@
 #include "support/diag.h"
 #include "vm/vm.h"
 
+#include "metric_lines.h"
+
 using namespace ipds;
+using testutil::metricLines;
 
 namespace {
 
@@ -190,7 +193,8 @@ TEST(Corpus, ServedStreamMatchesOfflineReplay)
 {
     // The fourth oracle: a generated program's attacked session,
     // captured and streamed to the detection service, must produce
-    // the same alarms as offline replay of the same trace.
+    // the same alarms and metric lines as offline replay of the same
+    // trace.
     for (uint64_t seed : {3ull, 4ull}) {
         gen::GeneratedProgram gp = gen::generate(seed);
         CompiledProgram prog = gen::compileGenerated(gp);
@@ -234,6 +238,7 @@ TEST(Corpus, ServedStreamMatchesOfflineReplay)
         ASSERT_TRUE(r.ok) << r.text;
         EXPECT_EQ(r.alarms, off.alarms().size());
         EXPECT_EQ(r.alarmDigest, serve::alarmDigest(off.alarms()));
+        EXPECT_EQ(metricLines(r.text), metricLines(off.metricsText()));
         std::remove(path.c_str());
         std::remove(cfg.socketPath.c_str());
     }

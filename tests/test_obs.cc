@@ -550,7 +550,7 @@ TEST(Session, ExportedNamesFollowTheSchemeAndAreRegistered)
         names::kReplayTruncatedChunks,
         names::kReplayVersionMismatches, names::kReplayIndexMissing,
         names::kReplaySeeks, names::kReplaySnapshotsWritten,
-        names::kReplaySnapshotsUsed, names::kReplayWorkers,
+        names::kReplaySnapshotsUsed,
         names::kCampAttacks,
         names::kCampFired, names::kCampCfChanged,
         names::kCampDetected, names::kCampFalsePositives,

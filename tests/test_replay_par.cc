@@ -1,15 +1,15 @@
 /**
  * @file
- * Parallel replay suite (ctest label `replay-par`).
+ * Multi-threaded replay suite (ctest label `replay-par`).
  *
- * The standing contract: parallel replay over the v2 chunk index is a
- * pure optimization — alarms, DetectorStats, TimingStats, FaultStats
- * and the metrics export are BIT-IDENTICAL to the sequential replay at
+ * The standing contract: replay on threads() workers is a pure
+ * optimization — alarms, DetectorStats, TimingStats, FaultStats and
+ * the metrics export are BIT-IDENTICAL to the one-thread replay at
  * every worker count, on every workload, for detector-only and timing
- * traces alike. The suite also pins the builder's up-front geometry
- * guards: parallel()/seekSession()/seekChunk() are mutually exclusive,
- * a timing trace cannot be split wider than its capture shards, and
- * seekChunk() is rejected for timing traces at build() time.
+ * traces alike, v1 traces included. The suite also pins the builder's
+ * up-front seek guards: seekSession()/seekChunk() are mutually
+ * exclusive, and seekChunk() is rejected for timing traces at build()
+ * time.
  */
 
 #include <gtest/gtest.h>
@@ -54,10 +54,9 @@ sameAlarms(const std::vector<Alarm> &a, const std::vector<Alarm> &b)
     return true;
 }
 
-/** metricsText() minus the two lines a worker count may legitimately
- *  change: the wall-clock rate gauge and the worker-count gauge.
- *  Every other line — including the rest of ipds.replay.* — must be a
- *  pure function of the trace. */
+/** metricsText() minus the one line a worker count may legitimately
+ *  change: the wall-clock rate gauge. Every other line — including
+ *  the rest of ipds.replay.* — must be a pure function of the trace. */
 std::string
 stripVariantLines(const std::string &text)
 {
@@ -65,8 +64,6 @@ stripVariantLines(const std::string &text)
     std::string out, line;
     while (std::getline(in, line)) {
         if (line.find("events_per_sec") != std::string::npos)
-            continue;
-        if (line.rfind("ipds.replay.workers", 0) == 0)
             continue;
         out += line;
         out += '\n';
@@ -100,12 +97,12 @@ replayPar(const CompiledProgram &prog, const std::string &path,
 {
     Session s = Session::builder()
                     .program(prog)
-                    .plan(ReplayPlan(path).parallel(workers))
+                    .threads(workers)
+                    .plan(ReplayPlan(path))
                     .build();
     s.run();
     namespace n = obs::names;
     const obs::MetricsRegistry &m = s.metrics();
-    EXPECT_GE(m.value(m.find(n::kReplayWorkers)), 1u);
     EXPECT_EQ(m.value(m.find(n::kReplayIndexMissing)), 0u);
     return {stripVariantLines(s.metricsText()), s.detectorStats(),
             s.timingStats(), s.alarms()};
@@ -150,9 +147,9 @@ TEST(ReplayPar, DetectorOnlyMatchesSequentialOnAllWorkloads)
 
 TEST(ReplayPar, TimingMatchesSequentialOnAllWorkloads)
 {
-    // A timing trace parallelizes per capture shard (the CpuModel
-    // carries state across a shard's sessions), so the sweep stays
-    // within the capture geometry; parallel(0) auto-sizes and clamps.
+    // A timing trace splits per capture shard (the CpuModel carries
+    // state across a shard's sessions), so workers past the capture's
+    // two shards find no work; the results must not move.
     for (const Workload &wl : allWorkloads()) {
         CompiledProgram prog =
             compileAndAnalyze(wl.source, wl.name);
@@ -168,8 +165,9 @@ TEST(ReplayPar, TimingMatchesSequentialOnAllWorkloads)
             .run();
 
         ReplayOutcome seq = replaySeq(prog, path);
-        expectSame(seq, replayPar(prog, path, 1), wl.name + " @1");
-        expectSame(seq, replayPar(prog, path, 2), wl.name + " @2");
+        for (unsigned w : kWorkerCounts)
+            expectSame(seq, replayPar(prog, path, w),
+                       wl.name + " @" + std::to_string(w));
         std::remove(path.c_str());
     }
 }
@@ -250,10 +248,6 @@ TEST(ReplayPar, ParallelAndSeekModesAreMutuallyExclusive)
                 << e.what();
         }
     };
-    expectFatal(ReplayPlan(path).parallel(2).seekSession(1),
-                "mutually exclusive");
-    expectFatal(ReplayPlan(path).parallel(2).seekChunk(0),
-                "mutually exclusive");
     expectFatal(ReplayPlan(path).seekSession(1).seekChunk(0),
                 "mutually exclusive");
     std::remove(path.c_str());
@@ -274,22 +268,8 @@ TEST(ReplayPar, TimingTraceRejectsWorkersBeyondShardGeometry)
         .build()
         .run();
 
-    // The guard is up-front (build() reads the trace header), names
-    // the geometry, and fires before any replay work happens.
-    try {
-        Session::builder()
-            .program(prog)
-            .plan(ReplayPlan(path).parallel(4))
-            .build();
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("shard geometry"),
-                  std::string::npos)
-            << e.what();
-    }
-
     // seekChunk() cannot resume a CPU scoreboard: rejected up front
-    // for timing traces too.
+    // (build() reads the trace header) for timing traces.
     try {
         Session::builder()
             .program(prog)
@@ -301,21 +281,13 @@ TEST(ReplayPar, TimingTraceRejectsWorkersBeyondShardGeometry)
                   std::string::npos)
             << e.what();
     }
-
-    // Within the geometry the same plans build and run fine.
-    Session ok = Session::builder()
-                     .program(prog)
-                     .plan(ReplayPlan(path).parallel(2))
-                     .build();
-    ok.run();
-    EXPECT_GT(ok.detectorStats().branchesSeen, 0u);
     std::remove(path.c_str());
 }
 
 TEST(ReplayPar, V1TraceFallsBackToSequentialWithIndexMissing)
 {
-    // A v1 trace has no footer: a parallel plan must still replay
-    // (sequentially) and flag the degradation in the metrics.
+    // A v1 trace has no footer: it loads through the same scan,
+    // replays on every worker and flags the missing index.
     const Workload &wl = workloadByName("telnetd");
     CompiledProgram prog = compileAndAnalyze(wl.source, wl.name);
     std::string path = tmpTracePath("v1fallback");
@@ -349,13 +321,13 @@ TEST(ReplayPar, V1TraceFallsBackToSequentialWithIndexMissing)
 
     Session rep = Session::builder()
                       .program(prog)
-                      .plan(ReplayPlan(path).parallel(4))
+                      .threads(4)
+                      .plan(ReplayPlan(path))
                       .build();
     rep.run();
     namespace n = obs::names;
     const obs::MetricsRegistry &m = rep.metrics();
     EXPECT_EQ(m.value(m.find(n::kReplayIndexMissing)), 1u);
-    EXPECT_EQ(m.value(m.find(n::kReplayWorkers)), 1u);
     EXPECT_EQ(m.value(m.find(n::kSessRuns)), 2u);
     EXPECT_GT(rep.detectorStats().branchesSeen, 0u);
     std::remove(path.c_str());

@@ -41,7 +41,10 @@
 #include "vm/vm.h"
 #include "workloads/workloads.h"
 
+#include "metric_lines.h"
+
 using namespace ipds;
+using testutil::metricLines;
 
 namespace {
 
@@ -195,24 +198,6 @@ failureCounts(const serve::Server &srv, const std::string &tenant)
                 EXPECT_EQ(v, statszCounter(section, name)) << name;
                 out.push_back(v);
             }
-    return out;
-}
-
-/** Metric lines of a text blob, minus the wall-clock gauge. */
-std::string
-metricLines(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string out, line;
-    while (std::getline(in, line)) {
-        if (line.rfind("ipds.", 0) != 0)
-            continue;
-        if (line.find(obs::names::kReplayEventsPerSec) == 0)
-            continue;
-        if (line.find("ipds.tenant.") == 0)
-            continue;
-        out += line + "\n";
-    }
     return out;
 }
 
@@ -825,6 +810,9 @@ TEST(Service, EveryGoldenMutantGetsOfflineReplaysVerdict)
     // golden trace, served and replayed offline: both accept or both
     // reject, and where both accept their metric lines match. The
     // frame size varies, so every structure is cut at many points.
+    // Offline, the mutant also replays on two threads (same verdict,
+    // same metric lines) and from seekSession(0) (same verdict): all
+    // three load through one scan of the chunk headers.
     const std::vector<uint8_t> golden =
         readBytes(std::string(IPDS_TEST_DATA_DIR) + "/golden_v2.trc");
     ASSERT_GT(golden.size(), replay::kIndexTrailerBytes);
@@ -863,20 +851,46 @@ TEST(Service, EveryGoldenMutantGetsOfflineReplaysVerdict)
     srv.start();
     const std::string path = tmpPath("mutant.trc");
     const size_t frameBytes[] = {0, 1, 5, 16, 17, 64};
+    // The offline verdict on the mutant file, and its metric lines
+    // when it accepts.
+    auto replayOffline = [&](unsigned threads, const ReplayPlan &plan,
+                             std::string &lines) {
+        try {
+            Session off = Session::builder()
+                              .program(prog)
+                              .threads(threads)
+                              .plan(plan)
+                              .build();
+            off.run();
+            lines = metricLines(off.metricsText());
+            return true;
+        } catch (const FatalError &) {
+            return false;
+        }
+    };
     size_t disagree = 0, accepted = 0, rejectedCuts = 0;
     for (size_t i = 0; i < mutants.size(); i++) {
         const std::vector<uint8_t> &m = mutants[i].bytes;
         writeBytes(path, m);
-        bool offOk = true;
-        std::string offLines;
-        try {
-            Session off =
-                Session::builder().program(prog).plan(ReplayPlan(path))
-                    .build();
-            off.run();
-            offLines = metricLines(off.metricsText());
-        } catch (const FatalError &) {
-            offOk = false;
+        std::string offLines, twoLines, seekLines;
+        const bool offOk = replayOffline(1, ReplayPlan(path), offLines);
+        const bool twoOk = replayOffline(2, ReplayPlan(path), twoLines);
+        const bool seekOk =
+            replayOffline(1, ReplayPlan(path).seekSession(0), seekLines);
+        if (twoOk != offOk || twoLines != offLines) {
+            disagree++;
+            ADD_FAILURE() << mutants[i].what << ": one thread "
+                          << (offOk ? "accepts" : "rejects")
+                          << ", two threads "
+                          << (twoOk ? "accept:\n" : "reject:\n")
+                          << twoLines;
+        }
+        if (seekOk != offOk) {
+            disagree++;
+            ADD_FAILURE() << mutants[i].what << ": offline "
+                          << (offOk ? "accepts" : "rejects")
+                          << ", seekSession(0) "
+                          << (seekOk ? "accepts" : "rejects");
         }
 
         serve::Client c;

@@ -37,7 +37,10 @@
 #include "support/diag.h"
 #include "vm/vm.h"
 
+#include "metric_lines.h"
+
 using namespace ipds;
+using testutil::metricLines;
 
 namespace {
 
@@ -117,24 +120,6 @@ capture(const CompiledProgram &prog,
     b.plan(CapturePlan(path).exec(exec));
     b.build().run();
     return path;
-}
-
-/** Metric lines of a text blob, minus the wall-clock gauge. */
-std::string
-metricLines(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string out, line;
-    while (std::getline(in, line)) {
-        if (line.rfind("ipds.", 0) != 0)
-            continue;
-        if (line.find(obs::names::kReplayEventsPerSec) == 0)
-            continue;
-        if (line.find("ipds.tenant.") == 0)
-            continue;
-        out += line + "\n";
-    }
-    return out;
 }
 
 uint64_t
